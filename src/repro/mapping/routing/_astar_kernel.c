@@ -21,22 +21,31 @@
  * 64 qubits, 64 edges, or `m * nbits <= 64` packed keys.
  *
  * Entry points:
- *   solve_layer        one A* layer search (preprocessed slot inputs)
  *   solve_layers_batch every layer of a circuit in one FFI crossing
  *                      (per-layer preprocessing + placement evolution
  *                      run natively; amortises ctypes marshalling)
  *   sabre_score_batch  score every candidate SWAP of one SABRE decision
  *                      via the _SwapScorer delta rule
  *
- * Return codes (solve_layer / solve_layers_batch): >= 0 swap-sequence
- * length (total across layers for the batch), -1 search exhausted,
- * -2 expansion budget exceeded, -3 capacity/allocation failure (caller
- * falls back to the Python kernel).
+ * Deadline: solve_layers_batch takes the seconds remaining on the
+ * caller's cooperative deadline (+inf for none) and turns it into an
+ * expiry on its own CLOCK_MONOTONIC, so it never depends on the
+ * caller's clock source.  It reads the clock once before the first
+ * layer, then every 256 heap pops (the counter runs across layers,
+ * matching the Python loop's `expansions & 0xFF` poll).
+ *
+ * Return codes (solve_layers_batch): >= 0 total swap-sequence length
+ * across layers, -1 search exhausted, -2 expansion budget exceeded,
+ * -3 capacity/allocation failure (caller falls back to the Python
+ * kernel), -4 deadline expired.
  */
+
+#define _POSIX_C_SOURCE 199309L
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 typedef struct {
     double priority;
@@ -210,6 +219,19 @@ static int32_t map_find_or_add(Map *m, const uint64_t *key) {
     return idx;
 }
 
+/* ---- cooperative deadline on the kernel's own monotonic clock ---- */
+
+typedef struct {
+    double expiry;  /* CLOCK_MONOTONIC seconds; +inf = no deadline */
+    uint64_t pops;  /* heap pops so far, across every layer */
+} Clock;
+
+static double mono_now(void) {
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + (double)ts.tv_nsec * 1e-9;
+}
+
 /* ---- one A* layer search over multi-word packed states ---- */
 
 typedef struct {
@@ -246,6 +268,7 @@ static int64_t run_search(
     const Search *s,
     const uint64_t *key0,
     int64_t max_expansions,
+    Clock *clock,
     int32_t *out_pa, int32_t *out_pb, int32_t max_out)
 {
     const int32_t n = s->n;
@@ -313,6 +336,10 @@ static int64_t run_search(
 
     while (heap.size > 0) {
         Entry e = heap_pop(&heap);
+        if (!(++clock->pops & 0xFF) && mono_now() >= clock->expiry) {
+            rc = -4;
+            goto done;
+        }
         int32_t ni = e.node;
         if (e.g > map.nodes[ni].g)
             continue;
@@ -460,67 +487,6 @@ static void build_qmask(
     }
 }
 
-/* ---- entry point: one preprocessed layer ---- */
-
-int64_t solve_layer(
-    int32_t n, int32_t nbits, int32_t m,
-    const int32_t *edge_pa, const int32_t *edge_pb, int32_t n_edges,
-    const int32_t *dflat,
-    const int32_t *pair_sa, const int32_t *pair_sb, int32_t n_pairs,
-    const int32_t *fut_sa, const int32_t *fut_sb, int32_t n_future,
-    const double *fut_w,
-    const uint8_t *future_active,
-    const int32_t *tf_idx, const int32_t *tf_start, /* tf_start: m+1 ints */
-    const int32_t *slot_pos,                        /* m physical positions */
-    int64_t max_expansions,
-    int32_t *out_pa, int32_t *out_pb, int32_t max_out)
-{
-    if (nbits <= 0 || nbits > 63 || m <= 0)
-        return -3;
-    int32_t spw = 64 / nbits;
-    int32_t nwords = (m + spw - 1) / spw;
-    int32_t ewords = (n_edges + 63) / 64;
-    if (ewords < 1)
-        ewords = 1;
-
-    int32_t *slot_word = (int32_t *)malloc((size_t)m * 2 * sizeof(int32_t));
-    uint64_t *qmask = (uint64_t *)malloc(
-        (size_t)n * ewords * sizeof(uint64_t));
-    uint64_t *key0 = (uint64_t *)calloc((size_t)nwords, sizeof(uint64_t));
-    if (!slot_word || !qmask || !key0) {
-        free(slot_word); free(qmask); free(key0);
-        return -3;
-    }
-    int32_t *slot_shift = slot_word + m;
-    for (int32_t i = 0; i < m; i++) {
-        slot_word[i] = i / spw;
-        slot_shift[i] = (i % spw) * nbits;
-        key0[slot_word[i]] |= (uint64_t)slot_pos[i] << slot_shift[i];
-    }
-    build_qmask(qmask, n, ewords, edge_pa, edge_pb, n_edges);
-
-    Search s;
-    s.n = n; s.nbits = nbits; s.m = m; s.nwords = nwords;
-    s.mask = (nbits == 63) ? 0x7FFFFFFFFFFFFFFFULL
-                           : (((uint64_t)1 << nbits) - 1);
-    s.n_edges = n_edges; s.ewords = ewords;
-    s.edge_pa = edge_pa; s.edge_pb = edge_pb;
-    s.dflat = dflat;
-    s.n_pairs = n_pairs; s.pair_sa = pair_sa; s.pair_sb = pair_sb;
-    s.n_future = n_future; s.fut_sa = fut_sa; s.fut_sb = fut_sb;
-    s.fut_w = fut_w;
-    s.future_active = future_active;
-    s.tf_idx = tf_idx; s.tf_start = tf_start;
-    s.qmask = qmask;
-    s.slot_word = slot_word; s.slot_shift = slot_shift;
-
-    int64_t rc = run_search(&s, key0, max_expansions, out_pa, out_pb, max_out);
-    free(slot_word);
-    free(qmask);
-    free(key0);
-    return rc;
-}
-
 /* ---- entry point: every layer of one circuit in a single crossing ----
  *
  * Inputs are CSR-concatenated per-layer gate lists over *program*
@@ -529,7 +495,8 @@ int64_t solve_layer(
  * layers run natively.  `p2h` is the full program->physical permutation
  * (dummies included, length n) and is updated in place as each layer's
  * SWAPs are applied — pass a copy.  `out_start` receives n_layers + 1
- * offsets into the output swap arrays.
+ * offsets into the output swap arrays.  `remaining_s` is the deadline
+ * budget in seconds (+inf: none); see the header for the poll cadence.
  */
 
 int64_t solve_layers_batch(
@@ -542,8 +509,12 @@ int64_t solve_layers_batch(
     const int32_t *fut_start,
     int32_t *p2h,
     int64_t max_expansions,
+    double remaining_s,
     int32_t *out_pa, int32_t *out_pb, int32_t *out_start, int32_t max_out)
 {
+    Clock clock;
+    clock.expiry = mono_now() + remaining_s;
+    clock.pops = 0;
     if (nbits <= 0 || nbits > 63 || n <= 0)
         return -3;
     int32_t spw = 64 / nbits;
@@ -600,6 +571,10 @@ int64_t solve_layers_batch(
             h2p[p2h[i]] = i;
         }
         build_qmask(qmask, n, ewords, edge_pa, edge_pb, n_edges);
+        if (mono_now() >= clock.expiry) {
+            total = -4;
+            goto cleanup;
+        }
 
         int32_t used = 0;
         out_start[0] = 0;
@@ -679,7 +654,7 @@ int64_t solve_layers_batch(
             s.qmask = qmask;
             s.slot_word = slot_word; s.slot_shift = slot_shift;
 
-            int64_t rc = run_search(&s, key0, max_expansions,
+            int64_t rc = run_search(&s, key0, max_expansions, &clock,
                                     out_pa + used, out_pb + used,
                                     max_out - used);
             if (rc < 0) {

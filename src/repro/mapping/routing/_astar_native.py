@@ -5,17 +5,19 @@ a router needs it, caching the shared object under the user's temp
 directory keyed by a hash of the source.  Everything is best-effort: no
 compiler, a failed build, or any marshalling surprise simply returns
 ``None`` and the caller falls back to the pure-Python kernels, which are
-the reference implementations.  The native kernels replicate the Python
-code operation for operation (see the header comment of the C file), so
-the two produce identical outputs — SWAP sequences and scores alike.
+the reference implementations.  Such a fallback is logged as a warning
+naming its reason (the ``REPRO_NO_NATIVE`` opt-out is silent).  The
+native kernels replicate the Python code operation for operation (see
+the header comment of the C file), so the two produce identical outputs
+— SWAP sequences and scores alike.
 
-Three entry points are exposed:
+Two entry points are exposed:
 
-* :func:`solve_layer_native` — one A* layer search (multi-word bitset
-  states: no limit on qubits, edges, or active slots beyond memory);
-* :func:`solve_layers_batch_native` — every layer of a circuit in a
-  single FFI crossing, with the per-layer preprocessing and the
-  placement evolution run natively (amortises ctypes marshalling);
+* :func:`solve_layers_batch_native` — every A* layer of a circuit in a
+  single FFI crossing (multi-word bitset states: no limit on qubits,
+  edges, or active slots beyond memory), with the per-layer
+  preprocessing and the placement evolution run natively.  It honours
+  the cooperative deadline on the kernel's own monotonic clock;
 * :func:`sabre_scores_native` — all candidate-SWAP scores of one SABRE
   routing decision via the C port of the ``_SwapScorer`` delta rule.
 
@@ -27,19 +29,23 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import logging
 import os
 import shutil
 import subprocess
 import tempfile
 
+from ...obs import add_counter
+from ...resilience.deadline import Deadline
 from .base import RoutingError
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "dist_buffer",
     "kernel_stats",
     "note_python_layer",
     "sabre_scores_native",
-    "solve_layer_native",
     "solve_layers_batch_native",
     "warm_kernel",
 ]
@@ -68,7 +74,12 @@ _sabre_python_calls = 0
 
 
 def _build_library():
-    """Compile and load the kernel; return a CDLL or None."""
+    """Compile and load the kernel; return a CDLL or None.
+
+    Every ``None`` past the ``REPRO_NO_NATIVE`` opt-out logs one warning
+    naming the reason, so a silent switch to the Python kernels cannot
+    go unnoticed.
+    """
     global _build_calls
     if os.environ.get("REPRO_NO_NATIVE"):
         return None
@@ -79,7 +90,13 @@ def _build_library():
         or shutil.which("gcc")
         or shutil.which("clang")
     )
-    if compiler is None or not os.path.exists(_SOURCE):
+    if compiler is None:
+        _log.warning("native kernel unavailable: no C compiler found; "
+                     "using the Python kernels")
+        return None
+    if not os.path.exists(_SOURCE):
+        _log.warning("native kernel unavailable: %s is missing; "
+                     "using the Python kernels", _SOURCE)
         return None
     with open(_SOURCE, "rb") as fh:
         tag = hashlib.sha256(fh.read()).hexdigest()[:16]
@@ -98,30 +115,25 @@ def _build_library():
                 timeout=120,
             )
             os.replace(tmp_path, so_path)
-        except (OSError, subprocess.SubprocessError):
+        except (OSError, subprocess.SubprocessError) as exc:
+            stderr = getattr(exc, "stderr", None) or b""
+            tail = stderr.decode(errors="replace").strip()[-500:]
+            _log.warning(
+                "native kernel unavailable: compiling with %s failed "
+                "(%s)%s; using the Python kernels", compiler, exc,
+                f": {tail}" if tail else "",
+            )
             return None
     try:
         lib = ctypes.CDLL(so_path)
-    except OSError:
+    except OSError as exc:
+        _log.warning("native kernel unavailable: loading %s failed (%s); "
+                     "using the Python kernels", so_path, exc)
         return None
     i32 = ctypes.c_int32
     p32 = ctypes.POINTER(i32)
     pdbl = ctypes.POINTER(ctypes.c_double)
     pu8 = ctypes.POINTER(ctypes.c_uint8)
-    lib.solve_layer.restype = ctypes.c_int64
-    lib.solve_layer.argtypes = [
-        i32, i32, i32,          # n, nbits, m
-        p32, p32, i32,          # edges
-        p32,                    # dflat
-        p32, p32, i32,          # pair slots
-        p32, p32, i32,          # future slots
-        pdbl,                   # future weights
-        pu8,                    # future_active
-        p32, p32,               # tf_idx, tf_start
-        p32,                    # slot_pos (m physical positions)
-        ctypes.c_int64,         # max_expansions
-        p32, p32, i32,          # out buffers
-    ]
     lib.solve_layers_batch.restype = ctypes.c_int64
     lib.solve_layers_batch.argtypes = [
         i32, i32,               # n, nbits
@@ -132,6 +144,7 @@ def _build_library():
         p32, p32, pdbl, p32,    # fut_a, fut_b, fut_w, fut_start
         p32,                    # p2h (updated in place)
         ctypes.c_int64,         # max_expansions
+        ctypes.c_double,        # remaining_s (+inf: no deadline)
         p32, p32, p32, i32,     # out_pa, out_pb, out_start, max_out
     ]
     lib.sabre_score_batch.restype = i32
@@ -204,98 +217,6 @@ _MAX_SEQUENCE = 4096
 _i32 = ctypes.c_int32
 
 
-def _touch_csr(future_slots, m):
-    """Per-slot future-gate touch lists, flattened (CSR layout)."""
-    touch: list[list[int]] = [[] for _ in range(m)]
-    for i, (sa, sb) in enumerate(future_slots):
-        touch[sa].append(i)
-        if sb != sa:
-            touch[sb].append(i)
-    tf_start_list = [0]
-    tf_idx_list: list[int] = []
-    for slot_touch in touch:
-        tf_idx_list.extend(slot_touch)
-        tf_start_list.append(len(tf_idx_list))
-    tf_idx = (_i32 * max(len(tf_idx_list), 1))(*tf_idx_list)
-    tf_start = (_i32 * (m + 1))(*tf_start_list)
-    return tf_idx, tf_start
-
-
-def solve_layer_native(
-    n: int,
-    nbits: int,
-    active: list[int],
-    pair_slots,
-    future_slots,
-    future_weights,
-    future_active,
-    edges,
-    dflat,
-    slot_pos,
-    max_expansions: int,
-):
-    """Run the compiled kernel; ``None`` means "use the Python path".
-
-    Arguments mirror the preprocessed state of
-    :func:`._astar_impl.solve_layer_packed` (slots index the ``active``
-    list; ``slot_pos`` holds each active slot's physical position).
-    Raises :class:`RoutingError` for genuine search failures so
-    behaviour matches the Python kernel exactly.
-    """
-    global _native_layers
-    m = len(active)
-    if m == 0:
-        return None
-    lib = _get_lib()
-    if lib is None:
-        return None
-    if not all(type(d) is int for d in dflat):
-        return None
-
-    n_pairs = len(pair_slots)
-    n_future = len(future_slots)
-    edge_pa = (_i32 * len(edges))(*[e[0] for e in edges])
-    edge_pb = (_i32 * len(edges))(*[e[1] for e in edges])
-    c_dflat = (_i32 * len(dflat))(*dflat)
-    pair_sa = (_i32 * max(n_pairs, 1))(*[p[0] for p in pair_slots])
-    pair_sb = (_i32 * max(n_pairs, 1))(*[p[1] for p in pair_slots])
-    fut_sa = (_i32 * max(n_future, 1))(*[p[0] for p in future_slots])
-    fut_sb = (_i32 * max(n_future, 1))(*[p[1] for p in future_slots])
-    fut_w = (ctypes.c_double * max(n_future, 1))(*future_weights)
-    c_active = (ctypes.c_uint8 * m)(
-        *[1 if s in future_active else 0 for s in range(m)]
-    )
-    tf_idx, tf_start = _touch_csr(future_slots, m)
-    c_slot_pos = (_i32 * m)(*slot_pos)
-    out_pa = (_i32 * _MAX_SEQUENCE)()
-    out_pb = (_i32 * _MAX_SEQUENCE)()
-
-    rc = lib.solve_layer(
-        n, nbits, m,
-        edge_pa, edge_pb, len(edges),
-        c_dflat,
-        pair_sa, pair_sb, n_pairs,
-        fut_sa, fut_sb, n_future,
-        fut_w,
-        c_active,
-        tf_idx, tf_start,
-        c_slot_pos,
-        max_expansions,
-        out_pa, out_pb, _MAX_SEQUENCE,
-    )
-    if rc == -3:
-        return None  # capacity issue: fall back to the Python kernel
-    if rc == -2:
-        raise RoutingError(
-            f"A* expanded more than {max_expansions} placements on one "
-            "layer; instance too large for layer-exact search"
-        )
-    if rc == -1:
-        raise RoutingError("A* search exhausted without satisfying the layer")
-    _native_layers += 1
-    return [(out_pa[i], out_pb[i]) for i in range(rc)]
-
-
 def solve_layers_batch_native(
     n: int,
     nbits: int,
@@ -305,6 +226,7 @@ def solve_layers_batch_native(
     layer_futures,
     p2h,
     max_expansions: int,
+    deadline: Deadline | None = None,
 ):
     """Route every layer of one circuit in a single native crossing.
 
@@ -318,12 +240,16 @@ def solve_layers_batch_native(
         p2h: Full program->physical permutation of the *starting*
             placement (length ``n``, dummies included); not mutated.
         max_expansions: Per-layer A* expansion budget.
+        deadline: Cooperative deadline; the kernel polls its remaining
+            budget on its own monotonic clock.
 
     Returns:
         A per-layer list of SWAP sequences, or ``None`` when the native
-        path is unavailable (caller runs the per-layer kernels instead).
+        path is unavailable (caller runs the Python kernel instead).
         Raises :class:`RoutingError` on genuine search failures, exactly
-        like the Python kernel would on the offending layer.
+        like the Python kernel would on the offending layer, and
+        :class:`~repro.resilience.deadline.DeadlineExceeded` when the
+        deadline expires mid-search.
     """
     global _native_layers, _batch_calls
     lib = _get_lib()
@@ -368,6 +294,7 @@ def solve_layers_batch_native(
     out_pa = (_i32 * max_out)()
     out_pb = (_i32 * max_out)()
     out_start = (_i32 * (n_layers + 1))()
+    remaining = float("inf") if deadline is None else deadline.remaining()
 
     rc = lib.solve_layers_batch(
         n, nbits,
@@ -378,10 +305,17 @@ def solve_layers_batch_native(
         c_fut_a, c_fut_b, c_fut_w, c_fut_start,
         c_p2h,
         max_expansions,
+        remaining,
         out_pa, out_pb, out_start, max_out,
     )
     if rc == -3:
-        return None  # capacity issue: fall back to the Python kernels
+        # Capacity issue: the caller reruns the circuit in Python.
+        add_counter("astar.native_fallbacks", 1)
+        _log.warning("native A* kernel ran out of capacity on a %d-layer "
+                     "circuit; rerunning it on the Python kernel", n_layers)
+        return None
+    if rc == -4:
+        raise deadline.exceeded("astar routing")
     if rc == -2:
         raise RoutingError(
             f"A* expanded more than {max_expansions} placements on one "

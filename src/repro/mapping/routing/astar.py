@@ -60,7 +60,6 @@ def route_astar(
     initial = current.copy()
     dag = DependencyGraph(circuit)
     layers = dag.two_qubit_layers()
-    dist = device.distance_matrix
 
     for gate in circuit.gates:
         if len(gate.qubits) > 2:
@@ -82,26 +81,24 @@ def route_astar(
         all_future.append(future)
 
     # Solve each layer's SWAP sequence against the evolving placement.
-    # With no cooperative deadline to poll, the batch kernel routes every
-    # layer in a single FFI crossing (the per-layer preprocessing and the
-    # placement evolution run natively); otherwise — or when the native
-    # path is unavailable — fall back to the per-layer kernels, which
-    # produce byte-identical sequences.
+    # The native batch kernel routes every layer in one FFI crossing (the
+    # per-layer preprocessing and the placement evolution run natively)
+    # and polls the cooperative deadline itself.  ``None`` means no
+    # compiler, the ``REPRO_NO_NATIVE`` opt-out or a capacity failure:
+    # the Python reference kernel then produces the identical sequences.
     deadline = current_deadline()
-    batched = None
-    if deadline is None and layers:
-        batched = solve_layers_batch_native(
-            device.num_qubits,
-            max(1, (device.num_qubits - 1).bit_length()),
-            device.undirected_edge_list,
-            device.distance_flat,
-            all_pairs,
-            all_future,
-            current.key(),
-            _MAX_EXPANSIONS,
-        )
-    if batched is not None:
-        layer_swaps = [list(seq) for seq in batched]
+    layer_swaps = solve_layers_batch_native(
+        device.num_qubits,
+        max(1, (device.num_qubits - 1).bit_length()),
+        device.undirected_edge_list,
+        device.distance_flat,
+        all_pairs,
+        all_future,
+        current.key(),
+        _MAX_EXPANSIONS,
+        deadline,
+    ) if layers else None
+    if layer_swaps is not None:
         add_counter("astar.native_layers", len(layers))
         add_counter("astar.batched_circuits", 1)
         add_counter(
@@ -109,12 +106,12 @@ def route_astar(
         )
     else:
         layer_swaps = []
-        for layer_pos, layer in enumerate(layers):
+        for pairs, future in zip(all_pairs, all_future):
             if deadline is not None:
                 deadline.check("astar routing")
-            swap_seq = _solve_layer(
-                all_pairs[layer_pos], all_future[layer_pos], current, device,
-                dist,
+            swap_seq = solve_layer_packed(
+                pairs, future, current.key(), device, _MAX_EXPANSIONS,
+                deadline,
             )
             for pa, pb in swap_seq:
                 current.apply_swap(pa, pb)
@@ -189,26 +186,3 @@ def _layered_topological_order(
     if len(order) != len(dag):
         raise RoutingError("dependency graph has a cycle (internal error)")
     return order
-
-
-def _solve_layer(
-    pairs,
-    future,
-    start: Placement,
-    device: Device,
-    dist,
-) -> list[tuple[int, int]]:
-    """A* search for a SWAP sequence making all ``pairs`` adjacent.
-
-    Delegates to the packed-integer kernel of
-    :mod:`repro.mapping.routing._astar_impl`: placements are single
-    integers (one bit-field slot per program qubit), SWAPs are two XORs,
-    and heap entries carry their heuristic terms so nothing is rescored
-    at pop time.  With hop-count distances and the dyadic default
-    look-ahead weights the kernel is bit-identical to the seed's full
-    per-node rescore — same expansions, same tie-breaks, same SWAP
-    sequence — at a fraction of the per-node cost.
-    """
-    return solve_layer_packed(
-        list(pairs), list(future), start.key(), device, dist, _MAX_EXPANSIONS
-    )

@@ -5,8 +5,11 @@ A :class:`Deadline` is a point on the system-wide monotonic clock
 answer.  It is *cooperative*: the pipeline threads the current deadline
 through a :class:`~contextvars.ContextVar` (:func:`use_deadline` /
 :func:`current_deadline`) and long-running searches — SABRE's decision
-loop, the A* layer kernel — poll it and abandon their search by raising
+loop, the A* layer search — poll it and abandon their search by raising
 :class:`DeadlineExceeded` instead of being killed from outside.  The
+native A* kernel polls it too: it receives the :meth:`Deadline.remaining`
+seconds, re-bases them on its own monotonic clock and checks every 256
+heap pops, so a deadline never moves A* off the compiled kernel.  The
 router fallback chain in :func:`repro.core.pipeline.compile_with_config`
 catches that exception and retries the routing stage with a cheaper
 router, so an expiring deadline degrades the answer instead of losing
@@ -71,10 +74,14 @@ class Deadline:
     def check(self, where: str = "") -> None:
         """Raise :class:`DeadlineExceeded` if the deadline has passed."""
         if self.expired():
-            budget = f"{self.budget}s budget" if self.budget is not None \
-                else "deadline"
-            suffix = f" in {where}" if where else ""
-            raise DeadlineExceeded(f"exceeded the {budget}{suffix}")
+            raise self.exceeded(where)
+
+    def exceeded(self, where: str = "") -> DeadlineExceeded:
+        """The exception reporting this deadline as passed in ``where``."""
+        budget = f"{self.budget}s budget" if self.budget is not None \
+            else "deadline"
+        suffix = f" in {where}" if where else ""
+        return DeadlineExceeded(f"exceeded the {budget}{suffix}")
 
     def to_dict(self) -> dict:
         """JSON/pickle-able form (absolute monotonic instant)."""

@@ -137,14 +137,17 @@ class CompileCache:
     def _write_disk(self, path: Path, entry: dict, counters: Counter) -> None:
         """Atomic best-effort write; any disk failure — including the
         ``mkdir`` of the cache directory itself — is counted in
-        ``counters["disk_errors"]``, never raised."""
+        ``counters["disk_errors"]``, never raised.  Keys keep their
+        build order, so a disk hit serialises to the same bytes as the
+        memory hit of the same entry."""
         tmp = path.with_suffix(
             f".{os.getpid()}-{next(_TMP_COUNTER)}.tmp"
         )
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
+            data = json.dumps(entry)
             with open(tmp, "w") as fh:
-                json.dump(entry, fh, sort_keys=True)
+                fh.write(data)
             os.replace(tmp, path)
         except OSError:
             counters["disk_errors"] += 1

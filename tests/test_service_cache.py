@@ -279,6 +279,23 @@ class TestCompileCacheTiers:
         }
 
 
+    def test_disk_hit_keeps_key_order_of_memory_hit(self, tmp_path):
+        # Regression: the disk tier was written with sort_keys=True, so
+        # a repeat served from disk (e.g. by a second service over the
+        # same directory) serialised to different bytes than the first
+        # answer, whose keys keep their build order.
+        job = CompileJob.create(QASM, get_device("ibm_qx4"),
+                                PassConfig(router="sabre"))
+        first = CompileService(CompileCache(directory=tmp_path))
+        cold = first.submit(job)
+        memory = first.submit(job)
+        disk = CompileService(CompileCache(directory=tmp_path)).submit(job)
+        assert (cold.cache_hit, memory.cache_hit, disk.cache_hit) == \
+            (None, "memory", "disk")
+        assert json.dumps(disk.artifact) == json.dumps(memory.artifact) \
+            == json.dumps(cold.artifact)
+
+
 class TestCacheCorrectness:
     """Cached artefacts must be byte-identical to fresh compiles."""
 
