@@ -32,34 +32,21 @@ from ..mapping.placement import PLACERS, Placement
 from ..mapping.routing import ROUTERS, RoutingError, RoutingResult, \
     check_connectivity, route
 from ..mapping.scheduler import Schedule, alap_schedule, asap_schedule
-from ..qasm import parse_qasm, to_openqasm
+# ``parse_qasm`` is unused here but stays importable: the benchmark's
+# traced run wraps ``pipeline.parse_qasm`` by attribute lookup.
+from ..qasm import parse_qasm, to_openqasm  # noqa: F401
 from ..resilience.deadline import Deadline, DeadlineExceeded, use_deadline
 from ..resilience.faults import FaultInjected, fault_point
 from .circuit import Circuit
-from .snapshot import (
-    placement_from_obj,
-    placement_to_obj,
-    schedule_from_obj,
-    schedule_to_obj,
-)
+from .snapshot import placement_from_obj, placement_to_obj
 
 __all__ = [
     "CompilationResult",
     "PassConfig",
-    "STAGES",
     "compile_circuit",
     "compile_with_config",
     "fallback_chain",
-    "routing_result_from_obj",
-    "routing_result_to_obj",
 ]
-
-#: The cacheable pipeline stages, in execution order.  Each stage's
-#: output is a pure function of (its input snapshot, the device, its
-#: slice of :class:`PassConfig`), which is what makes per-stage cache
-#: entries sound: ``placement`` is reusable across router variants,
-#: ``routing`` across scheduler tweaks, and so on downstream.
-STAGES = ("placement", "routing", "lower", "schedule")
 
 #: Cheaper routers tried, in order, when a routing stage times out or
 #: fails: SABRE is the fast heuristic, naive always terminates.
@@ -77,37 +64,6 @@ def fallback_chain(router: str) -> tuple[str, ...]:
         index = _FALLBACK_ORDER.index(router)
         return (router,) + _FALLBACK_ORDER[index + 1:]
     return (router,) + _FALLBACK_ORDER
-
-
-def routing_result_to_obj(routed: RoutingResult) -> dict:
-    """A routing outcome as a JSON-able dict (inverse of
-    :func:`routing_result_from_obj`).
-
-    The circuit travels as OpenQASM text — the writer is a fixed point
-    of ``parse -> write``, so a stage entry loaded from cache re-hashes
-    to the same key it was stored under.  Router metadata is
-    deliberately dropped: it is diagnostic, not part of the artefact
-    contract.
-    """
-    return {
-        "circuit_qasm": to_openqasm(routed.circuit),
-        "initial": placement_to_obj(routed.initial),
-        "final": placement_to_obj(routed.final),
-        "added_swaps": routed.added_swaps,
-        "router": routed.router,
-    }
-
-
-def routing_result_from_obj(obj: Mapping) -> RoutingResult:
-    """Rebuild a :class:`~repro.mapping.routing.RoutingResult` from
-    :func:`routing_result_to_obj` output."""
-    return RoutingResult(
-        circuit=parse_qasm(obj["circuit_qasm"]),
-        initial=placement_from_obj(obj["initial"]),
-        final=placement_from_obj(obj["final"]),
-        added_swaps=obj["added_swaps"],
-        router=obj["router"],
-    )
 
 
 @dataclass(frozen=True)
@@ -181,32 +137,6 @@ class PassConfig:
         if unknown:
             raise ValueError(f"unknown PassConfig fields: {sorted(unknown)}")
         return cls(**{k: data[k] for k in known if k in data})
-
-    def stage_slice(self, stage: str) -> dict:
-        """The knobs of this config that stage ``stage`` depends on.
-
-        Stage cache keys commit to *only* this slice, which is what lets
-        one stage's entry survive a change to a later stage's knobs: a
-        scheduler tweak re-keys ``schedule`` but not ``routing``.
-
-        Raises:
-            ValueError: for a name not in :data:`STAGES`.
-        """
-        if stage == "placement":
-            return {"placer": self.placer}
-        if stage == "routing":
-            return {
-                "router": self.router,
-                "router_options": dict(self.router_options),
-            }
-        if stage == "lower":
-            return {"decompose": self.decompose, "optimize": self.optimize}
-        if stage == "schedule":
-            return {
-                "schedule": self.schedule,
-                "control_constraints": self.control_constraints,
-            }
-        raise ValueError(f"unknown pipeline stage {stage!r}")
 
 
 @dataclass
@@ -315,17 +245,16 @@ def compile_circuit(
         control_constraints: Only with ``schedule="constraints"``:
             explicitly enable/disable the electronics rules (default: use
             them when the device defines any).
-        stage_store: Optional per-stage intermediate cache (duck-typed):
+        stage_store: Optional placement cache (duck-typed):
             ``load(stage, inputs, config) -> dict | None`` and
-            ``store(stage, inputs, config, entry)``.  Before running a
-            stage in :data:`STAGES` the pipeline probes the store with
-            the stage's content-addressed inputs (circuits as OpenQASM
-            text, device as its dict form) and that stage's
-            :meth:`PassConfig.stage_slice`; a hit skips the stage, a
-            miss stores the freshly computed entry.  ``None`` (the
-            default) leaves the pipeline byte-identical to the
-            pre-stage-cache behaviour.  Callable placers are never
-            stage-cached (no canonical key).
+            ``store(stage, inputs, config, entry)``, called with stage
+            ``"placement"``, the prepared circuit as OpenQASM text plus
+            the device as its dict form, and ``{"placer": placer}``.  A
+            hit skips placement; a miss stores the fresh placement.
+            Placement is the one stage worth caching: it is the costly
+            step, and one placement serves every router and scheduler
+            of a sweep.  Callable placers are never cached (no
+            canonical key).  ``None`` (the default) runs every stage.
 
     Returns:
         A :class:`CompilationResult`.
@@ -343,22 +272,17 @@ def compile_circuit(
                 if sp.enabled:
                     sp.set(gates_in=circuit.size(), gates_out=prepared.size())
 
-        # Stage-store bookkeeping: every stage key hashes the stage's
-        # *input* snapshot (circuits as QASM text, device as dict), so
-        # the snapshots are only rendered when a store is present.
-        store = stage_store
-        if store is not None:
-            device_obj = device.to_dict()
-            prepared_qasm = to_openqasm(prepared)
-
+        # Placement is the one stage ``stage_store`` caches.
         placement = None
         placer_name = None
-        if store is not None and not callable(placer):
+        cacheable = stage_store is not None and not callable(placer)
+        if cacheable:
             placement_inputs = {
-                "circuit_qasm": prepared_qasm, "device": device_obj,
+                "circuit_qasm": to_openqasm(prepared),
+                "device": device.to_dict(),
             }
-            entry = store.load("placement", placement_inputs,
-                               {"placer": placer})
+            entry = stage_store.load("placement", placement_inputs,
+                                     {"placer": placer})
             if entry is not None:
                 placement = placement_from_obj(entry["placement"])
                 placer_name = entry["placer"]
@@ -373,63 +297,30 @@ def compile_circuit(
                     placer_name = placer
                 if sp.enabled:
                     sp.set(placer=placer_name)
-            if store is not None and not callable(placer):
-                store.store(
+            if cacheable:
+                stage_store.store(
                     "placement", placement_inputs, {"placer": placer},
                     {"placement": placement_to_obj(placement),
                      "placer": placer_name},
                 )
 
-        routed = None
-        if store is not None:
-            routing_inputs = {
-                "circuit_qasm": prepared_qasm,
-                "device": device_obj,
-                "placement": placement_to_obj(placement),
-            }
-            routing_cfg = {
-                "router": router,
-                "router_options": dict(router_options or {}),
-            }
-            entry = store.load("routing", routing_inputs, routing_cfg)
-            if entry is not None:
-                routed = routing_result_from_obj(entry)
-        if routed is None:
-            with trace_span("routing", pass_="routing", router=router) as sp:
-                fault_point("routing", router=router)
-                routed = route(
-                    prepared, device, router, placement,
-                    **(router_options or {})
+        with trace_span("routing", pass_="routing", router=router) as sp:
+            fault_point("routing", router=router)
+            routed = route(
+                prepared, device, router, placement, **(router_options or {})
+            )
+            if sp.enabled:
+                sp.set(
+                    added_swaps=routed.added_swaps,
+                    gates_in=prepared.size(),
+                    gates_out=routed.circuit.size(),
+                    depth_in=prepared.depth(),
+                    depth_out=routed.circuit.depth(),
                 )
-                if sp.enabled:
-                    sp.set(
-                        added_swaps=routed.added_swaps,
-                        gates_in=prepared.size(),
-                        gates_out=routed.circuit.size(),
-                        depth_in=prepared.depth(),
-                        depth_out=routed.circuit.depth(),
-                    )
-            if store is not None:
-                store.store("routing", routing_inputs, routing_cfg,
-                            routing_result_to_obj(routed))
 
         native = routed.circuit
-        native_qasm = None
         flips = 0
-        lower_loaded = False
-        if store is not None and (decompose or optimize):
-            lower_inputs = {
-                "circuit_qasm": to_openqasm(routed.circuit),
-                "device": device_obj,
-            }
-            lower_cfg = {"decompose": decompose, "optimize": optimize}
-            entry = store.load("lower", lower_inputs, lower_cfg)
-            if entry is not None:
-                native_qasm = entry["circuit_qasm"]
-                native = parse_qasm(native_qasm)
-                flips = entry["flips"]
-                lower_loaded = True
-        if not lower_loaded and decompose:
+        if decompose:
             with trace_span("decompose", pass_="decompose",
                             stage="lower") as sp:
                 lowered = decompose_circuit(native, device)
@@ -473,71 +364,42 @@ def compile_circuit(
             with trace_span("verify", pass_="verify"):
                 fault_point("verify")
                 check_connectivity(native, device)
-        elif not lower_loaded and optimize:
+        elif optimize:
             with trace_span("optimize", pass_="optimize") as sp:
                 fault_point("optimize")
                 optimized = optimize_circuit(native)
                 if sp.enabled:
                     sp.set(gates_in=native.size(), gates_out=optimized.size())
                 native = optimized
-        if (
-            store is not None
-            and not lower_loaded
-            and (decompose or optimize)
-        ):
-            native_qasm = to_openqasm(native)
-            store.store("lower", lower_inputs, lower_cfg,
-                        {"circuit_qasm": native_qasm, "flips": flips})
 
         timed: Schedule | None = None
         if schedule is not None:
-            sched_loaded = False
-            if store is not None:
-                if native_qasm is None:
-                    native_qasm = to_openqasm(native)
-                sched_inputs = {
-                    "circuit_qasm": native_qasm, "device": device_obj,
-                }
-                sched_cfg = {
-                    "schedule": schedule,
-                    "control_constraints": control_constraints,
-                }
-                entry = store.load("schedule", sched_inputs, sched_cfg)
-                if entry is not None:
-                    timed = schedule_from_obj(entry["schedule"])
-                    sched_loaded = True
-            if not sched_loaded:
-                with trace_span("schedule", pass_="schedule",
-                                mode=schedule) as sp:
-                    fault_point("schedule")
-                    if schedule == "asap":
-                        timed = asap_schedule(native, device)
-                    elif schedule == "alap":
-                        timed = alap_schedule(native, device)
-                    elif schedule == "constraints":
-                        use = control_constraints
-                        if use is None:
-                            use = (
-                                device.constraints is not None
-                                or "serial_two_qubit" in device.features
-                            )
-                        timed = schedule_with_constraints(
-                            native,
-                            device,
-                            awg=use,
-                            feedlines=use,
-                            parking=use,
-                            serial_two_qubit=None if use else False,
+            with trace_span("schedule", pass_="schedule",
+                            mode=schedule) as sp:
+                fault_point("schedule")
+                if schedule == "asap":
+                    timed = asap_schedule(native, device)
+                elif schedule == "alap":
+                    timed = alap_schedule(native, device)
+                elif schedule == "constraints":
+                    use = control_constraints
+                    if use is None:
+                        use = (
+                            device.constraints is not None
+                            or "serial_two_qubit" in device.features
                         )
-                    else:
-                        raise ValueError(
-                            f"unknown schedule mode {schedule!r}"
-                        )
-                    if sp.enabled and timed is not None:
-                        sp.set(latency=timed.latency)
-                if store is not None:
-                    store.store("schedule", sched_inputs, sched_cfg,
-                                {"schedule": schedule_to_obj(timed)})
+                    timed = schedule_with_constraints(
+                        native,
+                        device,
+                        awg=use,
+                        feedlines=use,
+                        parking=use,
+                        serial_two_qubit=None if use else False,
+                    )
+                else:
+                    raise ValueError(f"unknown schedule mode {schedule!r}")
+                if sp.enabled and timed is not None:
+                    sp.set(latency=timed.latency)
 
         if root.enabled:
             root.set(

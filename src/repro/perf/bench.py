@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from ..core.circuit import Circuit
@@ -106,12 +107,15 @@ _LARGE_INSTANCES = [
 #: Routers benchmarked on the large devices: the two with native paths.
 _LARGE_ROUTERS = ("astar", "sabre")
 
-_VARIANTS: dict[str, Callable] = {
-    "sabre_commutation": lambda c, d: route_sabre(c, d, commutation=True),
-    "sabre_lookahead0": lambda c, d: route_sabre(c, d, lookahead=0),
-    "sabre_nodecay": lambda c, d: route_sabre(c, d, use_decay=False),
-    "astar_lookahead2": lambda c, d: route_astar(c, d, lookahead_layers=2),
-    "latency_commutation": lambda c, d: route_latency(c, d, commutation=True),
+#: Router-option variants, as ``{name: (router, options)}`` — the same
+#: table feeds the routing corpus here and the compile-job corpus of
+#: :func:`repro.perf.service_bench.corpus_jobs`.
+_VARIANTS: dict[str, tuple[str, dict]] = {
+    "sabre_commutation": ("sabre", {"commutation": True}),
+    "sabre_lookahead0": ("sabre", {"lookahead": 0}),
+    "sabre_nodecay": ("sabre", {"use_decay": False}),
+    "astar_lookahead2": ("astar", {"lookahead_layers": 2}),
+    "latency_commutation": ("latency", {"commutation": True}),
 }
 
 
@@ -129,7 +133,7 @@ def _build_corpus() -> list[BenchCase]:
                     route=router,
                 )
             )
-    for name, variant in _VARIANTS.items():
+    for name, (router_name, options) in _VARIANTS.items():
         cases.append(
             BenchCase(
                 key=f"variants/{name}",
@@ -137,7 +141,7 @@ def _build_corpus() -> list[BenchCase]:
                 num_qubits=12,
                 num_gates=60,
                 seed=42,
-                route=variant,
+                route=partial(_ROUTERS[router_name], **options),
             )
         )
     return cases

@@ -18,10 +18,11 @@ benchmark times three phases and reports circuits/second for each:
    the cache;
 5. **router sweep** — one fixed circuit compiled under every router ×
    scheduler combination on a fresh cache: every full-pipeline key is
-   distinct (100% cold before stage sharding), but the per-stage
-   entries reuse the placement across routers and each routed circuit
-   across schedulers.  Reports the stage-hit rate and byte-compares
-   every swept artefact against a fresh serial compile.
+   distinct, but all twelve jobs share one placement stage entry, so
+   the circuit is placed once (1 stage miss, 11 hits).  Reports the
+   stage-hit rate, the wall-time speedup over the same grid compiled
+   serially without a cache, and byte-compares every swept artefact
+   against that serial compile.
 
 It also cross-checks correctness: the artefact served from the cache in
 phase 3 must be byte-identical (canonical JSON) to the artefact a fresh
@@ -45,21 +46,9 @@ from ..service import CompileCache, CompileJob, CompileService
 from ..service.artifact import result_to_artifact
 from ..service.keys import canonical_json
 from ..workloads import random_circuit
-from .bench import _DEVICES, _INSTANCES, _ROUTERS
+from .bench import _DEVICES, _INSTANCES, _ROUTERS, _VARIANTS
 
 __all__ = ["corpus_jobs", "router_sweep_jobs", "run_service_bench"]
-
-#: Router-option variants of the corpus, as (router, options) configs —
-#: mirrors :data:`repro.perf.bench._VARIANTS`, which stores them as
-#: closures and therefore cannot feed the (serialisable) job API.
-_VARIANT_CONFIGS: dict[str, tuple[str, dict]] = {
-    "sabre_commutation": ("sabre", {"commutation": True}),
-    "sabre_lookahead0": ("sabre", {"lookahead": 0}),
-    "sabre_nodecay": ("sabre", {"use_decay": False}),
-    "astar_lookahead2": ("astar", {"lookahead_layers": 2}),
-    "latency_commutation": ("latency", {"commutation": True}),
-}
-
 
 def corpus_jobs(limit: int | None = None) -> list[CompileJob]:
     """The perf corpus as full-pipeline compile jobs (40 by default)."""
@@ -82,7 +71,7 @@ def corpus_jobs(limit: int | None = None) -> list[CompileJob]:
     variant_qasm = to_openqasm(
         random_circuit(12, 60, seed=42, two_qubit_fraction=0.6)
     )
-    for name, (router_name, options) in _VARIANT_CONFIGS.items():
+    for name, (router_name, options) in _VARIANTS.items():
         jobs.append(
             CompileJob.create(
                 variant_qasm,
@@ -102,10 +91,10 @@ _SWEEP_SCHEDULES = ("asap", "alap", "constraints")
 def router_sweep_jobs() -> list[CompileJob]:
     """The router-sweep workload: one circuit, 4 routers × 3 schedulers.
 
-    Production-shaped traffic per ISSUE/ROADMAP: sweeping routers and
-    scheduler tweaks over a fixed circuit and placement.  Every job has
-    a distinct full-pipeline cache key, so before stage-level sharding
-    this workload was 100% cold.
+    Sweeping routers and scheduler tweaks over a fixed circuit.  Every
+    job has a distinct full-pipeline cache key; what the twelve jobs
+    share is the placement, the costliest stage, which the stage cache
+    computes once and serves to the other eleven.
     """
     device = _DEVICES["ibm_qx5"]()
     qasm = to_openqasm(random_circuit(12, 60, seed=42, two_qubit_fraction=0.6))
@@ -154,7 +143,7 @@ def run_service_bench(
     timeout: float | None = None,
     oneshot_baseline: bool = True,
 ) -> dict:
-    """Run the three-phase service benchmark; returns the JSON report."""
+    """Run the five-phase service benchmark; returns the JSON report."""
     workload = corpus_jobs(limit)
     n = len(workload)
 
@@ -220,9 +209,10 @@ def run_service_bench(
     gw.close(drain=True)
 
     # Phase 5: router sweep on a fresh in-memory cache.  Runs inline
-    # (one worker) so the parent-side stage store serves every probe and
-    # the counters are exact; the serial baseline below compiles the
-    # same grid with no stage store for the byte-compare and timing.
+    # (one worker) so the parent-side stage store serves every placement
+    # probe and the counts are exact (1 miss, 11 hits); the serial
+    # baseline below compiles the same grid with no cache for the
+    # byte-compare and the speedup.
     sweep_jobs = router_sweep_jobs()
     sweep_serial: dict[str, str] = {}
     t0 = time.perf_counter()

@@ -14,8 +14,8 @@ explicit invalidation — a change to any input simply addresses a
 different slot.
 
 Besides whole-pipeline artefacts the cache stores *stage* entries —
-per-stage intermediates (a placement, a routed circuit, a lowered
-circuit, a schedule) keyed by :func:`repro.service.keys.stage_key`.
+pipeline intermediates (today only the placement) keyed by
+:func:`repro.service.keys.stage_key`.
 Stage entries live in a namespace per stage: in memory the LRU key is
 prefixed ``<stage>/``; on disk they sit under
 ``stages/<stage>/<key>.json`` next to the flat ``<key>.json`` artefact
@@ -104,19 +104,8 @@ class CompileCache:
             self._counters["memory_hits"] += 1
             return entry, "memory"
         if self.directory is not None:
-            path = self._disk_path(key)
-            try:
-                with open(path) as fh:
-                    entry = json.load(fh)
-            except FileNotFoundError:
-                pass
-            except (OSError, ValueError):
-                self._counters["disk_errors"] += 1
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-            else:
+            entry = self._read_disk(self._disk_path(key), self._counters)
+            if entry is not None:
                 self._counters["disk_hits"] += 1
                 self._remember(key, entry)
                 return entry, "disk"
@@ -133,6 +122,24 @@ class CompileCache:
         self._remember(key, artifact)
         if self.directory is not None:
             self._write_disk(self._disk_path(key), artifact, self._counters)
+
+    @staticmethod
+    def _read_disk(path: Path, counters: Counter) -> dict | None:
+        """The entry stored at ``path``, or ``None`` when it is absent or
+        unreadable.  An unreadable (e.g. corrupt) file is counted in
+        ``counters["disk_errors"]`` and deleted best-effort."""
+        try:
+            with open(path) as fh:
+                return json.load(fh)
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError):
+            counters["disk_errors"] += 1
+            try:
+                path.unlink()
+            except OSError:
+                pass
+            return None
 
     def _write_disk(self, path: Path, entry: dict, counters: Counter) -> None:
         """Atomic best-effort write; any disk failure — including the
@@ -189,19 +196,8 @@ class CompileCache:
             counters["memory_hits"] += 1
             return entry
         if self.directory is not None:
-            path = self._stage_path(stage, key)
-            try:
-                with open(path) as fh:
-                    entry = json.load(fh)
-            except FileNotFoundError:
-                pass
-            except (OSError, ValueError):
-                counters["disk_errors"] += 1
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-            else:
+            entry = self._read_disk(self._stage_path(stage, key), counters)
+            if entry is not None:
                 counters["disk_hits"] += 1
                 self._remember(mem_key, entry)
                 return entry
@@ -249,20 +245,8 @@ class CompileCache:
             return True
         if self.directory is None:
             return False
-        path = self._disk_path(key)
-        try:
-            with open(path) as fh:
-                json.load(fh)
-        except FileNotFoundError:
-            return False
-        except (OSError, ValueError):
-            self._counters["disk_errors"] += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return False
-        return True
+        entry = self._read_disk(self._disk_path(key), self._counters)
+        return entry is not None
 
     def __len__(self) -> int:
         """Number of entries in the memory tier (disk not enumerated)."""
@@ -335,14 +319,13 @@ class CacheStageStore:
     """Adapter giving :class:`CompileCache` the pipeline's duck-typed
     ``stage_store`` interface.
 
-    :func:`repro.core.pipeline.compile_circuit` hands over each stage's
-    input snapshot and config slice; this class derives the
+    :func:`repro.core.pipeline.compile_circuit` hands over the placement
+    stage's input snapshot and config; this class derives the
     content-addressed key (:func:`repro.service.keys.stage_key`), walks
     the cache's stage namespace, and emits a zero-length
-    ``cache.stage_hit`` / ``cache.stage_miss`` trace span per probe so
-    traces show which stages earn their keys.  Inputs with no canonical
-    JSON form (e.g. exotic router options) are treated as uncacheable:
-    the probe is skipped entirely and no span is emitted.
+    ``cache.stage_hit`` / ``cache.stage_miss`` trace span per probe.
+    Inputs with no canonical JSON form are treated as uncacheable: the
+    probe is skipped entirely and no span is emitted.
     """
 
     def __init__(self, cache: CompileCache) -> None:

@@ -112,7 +112,7 @@ def run_payload(
     * ``stage_cache_dir`` — the parent cache's disk directory.  A pool
       worker opens its own disk-only view of it
       (:class:`CompileCache` with the memory tier off) and probes the
-      per-stage entries before running each stage, then ships the
+      placement stage entry before placing, then ships the
       per-stage hit/miss counters back in the outcome's
       ``stage_counters`` for the parent to merge.  Inline callers pass
       ``stage_store`` directly instead.  Fault-plan runs never touch
@@ -289,14 +289,13 @@ class CompileService:
         preload_native: Have pool workers resolve the native A* kernel
             in their initializer (default on; moot under
             ``REPRO_NO_NATIVE``).
-        stage_cache: Probe and populate the cache's per-stage entries
-            (placement / routing / lower / schedule) on full-key misses,
-            so e.g. a router sweep re-keys only the stages downstream of
-            the changed knob.  Inline compiles share the service cache's
-            stage namespace directly; pool workers probe the disk tier
-            via the payload's ``stage_cache_dir`` (a memory-only service
-            cache keeps stage entries parent-side only).  Default on;
-            moot when ``cache`` is ``None``.
+
+    Whenever the service has a cache, compiles probe and populate its
+    placement stage entries on full-key misses, so e.g. a router sweep
+    places its circuit once.  Inline compiles share the service cache
+    directly; pool workers probe its disk tier via the payload's
+    ``stage_cache_dir`` (a memory-only service cache keeps stage
+    entries parent-side only).  Fault-plan runs bypass it.
 
     The service owns one :class:`~repro.service.pool.WarmPool`, created
     lazily on the first pooled batch and reused for every batch after
@@ -315,7 +314,6 @@ class CompileService:
         default_deadline: float | None = None,
         fault_plan: FaultPlan | None = None,
         preload_native: bool = True,
-        stage_cache: bool = True,
     ) -> None:
         self.cache = CompileCache() if cache is _DEFAULT_CACHE else cache
         self.max_workers = max_workers or (os.cpu_count() or 1)
@@ -324,7 +322,6 @@ class CompileService:
         self.default_deadline = default_deadline
         self.fault_plan = fault_plan
         self.preload_native = preload_native
-        self.stage_cache = bool(stage_cache)
         self._pool: WarmPool | None = None
         self._pool_lock = threading.Lock()
         self._counters: Counter = Counter()
@@ -419,8 +416,8 @@ class CompileService:
 
     def _stage_store(self, plan: FaultPlan | None) -> CacheStageStore | None:
         """The parent-side stage store for inline compiles (``None``
-        when stage caching is off, uncached, or a fault plan is live)."""
-        if not self.stage_cache or self.cache is None or plan is not None:
+        when uncached or a fault plan is live)."""
+        if self.cache is None or plan is not None:
             return None
         return CacheStageStore(self.cache)
 
@@ -907,11 +904,7 @@ class CompileService:
         """
         if plan is not None:
             payload["faults"] = plan.to_dict()
-        elif (
-            self.stage_cache
-            and self.cache is not None
-            and self.cache.directory is not None
-        ):
+        elif self.cache is not None and self.cache.directory is not None:
             payload["stage_cache_dir"] = str(self.cache.directory)
         if deadline is not None:
             payload["deadline_s"] = deadline

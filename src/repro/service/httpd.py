@@ -58,6 +58,9 @@ class _BadRequest(Exception):
 class GatewayRequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-gateway/1"
     protocol_version = "HTTP/1.1"
+    # ``_send`` writes headers and body in two sends; with Nagle on, a
+    # keep-alive client's delayed ACK holds the body back ~40 ms.
+    disable_nagle_algorithm = True
 
     @property
     def gateway(self) -> AsyncCompileService:

@@ -115,11 +115,10 @@ def stage_key(
     Commits to the stage name, the stage's content-addressed input
     snapshot (circuits as canonical OpenQASM text, the device as its
     dict form — exactly what :func:`repro.core.pipeline.compile_circuit`
-    hands its ``stage_store``), that stage's slice of the pass config
-    (:meth:`repro.core.pipeline.PassConfig.stage_slice`), the stage
-    schema and the library version.  Because only the *relevant* config
-    slice is hashed, a placement entry survives a router change and a
-    routing entry survives a scheduler change — invalidation by
+    hands its ``stage_store``), the config knobs that stage depends on
+    (``{"placer": ...}`` for placement), the stage schema and the
+    library version.  Because only those knobs are hashed, a placement
+    entry survives a router or scheduler change — invalidation by
     addressing, per stage.
 
     Raises:

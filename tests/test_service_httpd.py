@@ -1,6 +1,8 @@
 """Tests for the HTTP/JSON gateway front end (repro.service.httpd)."""
 
+import http.client
 import json
+import statistics
 import threading
 import time
 import urllib.error
@@ -149,6 +151,27 @@ class TestHealthAndStats:
         _, _, _, client = stack
         code, body, _ = client.get("/healthz")
         assert code == 200 and body["ok"] is True
+
+    def test_keep_alive_round_trip_has_no_nagle_stall(self, stack):
+        # Headers and body go out in two sends; with Nagle's algorithm
+        # on, the body waits for the client's delayed ACK (~40 ms) on
+        # every response of a reused connection.  urllib opens a new
+        # connection per request and never sees the stall.
+        _, _, server, _ = stack
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=30)
+        try:
+            samples = []
+            for _ in range(20):
+                t0 = time.perf_counter()
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                body = json.loads(resp.read())
+                samples.append(time.perf_counter() - t0)
+                assert resp.status == 200 and body["ok"] is True
+        finally:
+            conn.close()
+        assert statistics.median(samples) < 0.020, samples
 
     def test_stats_includes_gateway_section(self, stack):
         _, _, _, client = stack

@@ -1,23 +1,18 @@
-"""Tests for stage-level compile-cache sharding.
+"""Tests for the placement stage cache.
 
 Covers the per-stage key derivation (`repro.service.keys.stage_key`),
 the stage namespace of `CompileCache`, the pipeline's `stage_store`
-hooks, invalidation-by-addressing per stage (a scheduler change must
-re-key only the schedule stage), corrupt-entry semantics, tracing, and
-the engine integration (inline and pool paths).
+hook (placement is the only cached stage: one entry must serve every
+other config knob with byte-identical artifacts), corrupt-entry
+semantics, tracing, and the engine integration (inline and pool paths).
 """
 
+import itertools
 import json
 
 import pytest
 
-from repro.core.pipeline import (
-    PassConfig,
-    STAGES,
-    compile_with_config,
-    routing_result_from_obj,
-    routing_result_to_obj,
-)
+from repro.core.pipeline import PassConfig, compile_with_config
 from repro.devices import get_device
 from repro.obs import Tracer, use_tracer
 from repro.qasm import parse_qasm, to_openqasm
@@ -80,60 +75,6 @@ class TestStageKeys:
             stage_key("routing", {"bad": object()}, {})
 
 
-class TestStageSlice:
-    def test_every_stage_has_a_slice(self):
-        config = PassConfig(
-            placer="assignment", router="astar",
-            router_options={"lookahead_layers": 2},
-            decompose=True, optimize=True,
-            schedule="constraints", control_constraints=True,
-        )
-        assert config.stage_slice("placement") == {"placer": "assignment"}
-        assert config.stage_slice("routing") == {
-            "router": "astar", "router_options": {"lookahead_layers": 2},
-        }
-        assert config.stage_slice("lower") == {
-            "decompose": True, "optimize": True,
-        }
-        assert config.stage_slice("schedule") == {
-            "schedule": "constraints", "control_constraints": True,
-        }
-
-    def test_slices_cover_every_config_knob(self):
-        # The union of all slices must mention every PassConfig field:
-        # a knob outside every slice would change output without
-        # changing any stage key.
-        config = PassConfig()
-        covered = set()
-        for stage in STAGES:
-            covered |= set(config.stage_slice(stage))
-        assert covered == set(config.to_dict())
-
-    def test_unknown_stage_rejected(self):
-        with pytest.raises(ValueError):
-            PassConfig().stage_slice("teleport")
-
-
-class TestRoutingResultRoundTrip:
-    def test_survives_serialisation(self, qasm, device):
-        routed = _compile(qasm, device).routed
-        obj = routing_result_to_obj(routed)
-        json.dumps(obj)  # must be plain JSON
-        restored = routing_result_from_obj(obj)
-        assert to_openqasm(restored.circuit) == to_openqasm(routed.circuit)
-        assert restored.initial.prog_to_phys() == routed.initial.prog_to_phys()
-        assert restored.final.prog_to_phys() == routed.final.prog_to_phys()
-        assert restored.added_swaps == routed.added_swaps
-        assert restored.router == routed.router
-
-    def test_qasm_form_is_a_fixed_point(self, qasm, device):
-        # Key stability across reload: serialising a reloaded routing
-        # result must produce the same bytes it was loaded from.
-        obj = routing_result_to_obj(_compile(qasm, device).routed)
-        again = routing_result_to_obj(routing_result_from_obj(obj))
-        assert canonical_json(again) == canonical_json(obj)
-
-
 class TestStageReuse:
     def test_placement_reused_across_routers(self, qasm, device):
         cache = CompileCache()
@@ -141,26 +82,56 @@ class TestStageReuse:
         _compile(qasm, device, store, router="sabre")
         _compile(qasm, device, store, router="astar")
         stages = cache.stats()["stages"]
+        assert set(stages) == {"placement"}
         assert stages["placement"]["memory_hits"] == 1
         assert stages["placement"]["misses"] == 1
-        assert stages["routing"]["misses"] == 2  # distinct router slices
 
-    def test_scheduler_change_misses_only_schedule_stage(self, qasm, device):
-        # Invalidation by addressing, per stage: a scheduler tweak
-        # re-keys the schedule stage and nothing upstream, so the
-        # routed/lowered circuit is reused — but never a stale schedule.
+    def test_placement_entry_serves_every_other_knob(self, qasm, device):
+        # The placement key commits to the placer alone, so it must be
+        # sound for every other PassConfig knob: one probe misses, every
+        # later job hits, and each artifact is byte-identical to a
+        # store-less compile.  A knob that changed the placement without
+        # entering its key would break the byte compare.
+        routes = [
+            ("sabre", {}), ("sabre", {"lookahead": 0}),
+            ("astar", {}), ("naive", {}),
+        ]
+        schedules = [
+            (None, None), ("asap", None), ("alap", None),
+            ("constraints", None), ("constraints", True),
+            ("constraints", False),
+        ]
+        grid = [
+            PassConfig(
+                router=router, router_options=options,
+                decompose=decompose, optimize=optimize,
+                schedule=sched, control_constraints=constraints,
+            )
+            for (router, options), decompose, optimize,
+            (sched, constraints) in itertools.product(
+                routes, (True, False), (False, True), schedules
+            )
+        ]
+        varied = {
+            knob for knob, value in PassConfig().to_dict().items()
+            if any(cfg.to_dict()[knob] != value for cfg in grid)
+        }
+        assert varied == set(PassConfig().to_dict()) - {"placer"}
+
         cache = CompileCache()
         store = CacheStageStore(cache)
-        _compile(qasm, device, store, schedule="asap")
-        _compile(qasm, device, store, schedule="alap")
+        for cfg in grid:
+            staged = compile_with_config(
+                parse_qasm(qasm), device, cfg, stage_store=store
+            )
+            fresh = compile_with_config(parse_qasm(qasm), device, cfg)
+            assert canonical_json(
+                result_to_artifact(staged, config=cfg)
+            ) == canonical_json(result_to_artifact(fresh, config=cfg)), cfg
         stages = cache.stats()["stages"]
-        for upstream in ("placement", "routing", "lower"):
-            assert stages[upstream]["memory_hits"] == 1, upstream
-            assert stages[upstream]["misses"] == 1, upstream
-        assert stages["schedule"]["misses"] == 2
-        assert "memory_hits" not in stages["schedule"]
-        assert cache.stats()["stage_hits"] == 3
-        assert cache.stats()["stage_misses"] == 5
+        assert set(stages) == {"placement"}
+        assert stages["placement"]["misses"] == 1
+        assert stages["placement"]["memory_hits"] == len(grid) - 1
 
     def test_staged_artifacts_byte_identical_to_fresh(self, qasm, device):
         store = CacheStageStore(CompileCache())
@@ -209,14 +180,14 @@ class TestStageDiskTier:
             p.relative_to(tmp_path).parts[:2]
             for p in tmp_path.glob("stages/*/*.json")
         }
-        assert layout == {("stages", s) for s in STAGES}
+        assert layout == {("stages", "placement")}
 
         fresh = CompileCache(directory=tmp_path)
         _compile(qasm, device, CacheStageStore(fresh), router="sabre")
         stages = fresh.stats()["stages"]
-        for stage in STAGES:
-            assert stages[stage]["disk_hits"] == 1, stage
-            assert "misses" not in stages[stage], stage
+        assert set(stages) == {"placement"}
+        assert stages["placement"]["disk_hits"] == 1
+        assert "misses" not in stages["placement"]
 
     def test_corrupt_stage_entry_deleted_and_recomputed(
         self, qasm, device, tmp_path
@@ -227,20 +198,20 @@ class TestStageDiskTier:
             _compile(qasm, device, router="sabre"),
             config=PassConfig(router="sabre"),
         ))
-        [sched_file] = tmp_path.glob("stages/schedule/*.json")
-        sched_file.write_text("{not json")
+        [placement_file] = tmp_path.glob("stages/placement/*.json")
+        placement_file.write_text("{not json")
 
         fresh = CompileCache(directory=tmp_path)
         result = _compile(qasm, device, CacheStageStore(fresh), router="sabre")
         stages = fresh.stats()["stages"]
-        assert stages["schedule"]["disk_errors"] == 1
-        assert stages["schedule"]["misses"] == 1
+        assert stages["placement"]["disk_errors"] == 1
+        assert stages["placement"]["misses"] == 1
         # The corrupt bytes never reached the result, and the slot was
         # rewritten with a valid entry.
         assert canonical_json(result_to_artifact(
             result, config=PassConfig(router="sabre")
         )) == expected
-        json.loads(sched_file.read_text())
+        json.loads(placement_file.read_text())
 
     def test_clear_drops_stage_entries(self, qasm, device, tmp_path):
         cache = CompileCache(directory=tmp_path)
@@ -258,14 +229,14 @@ class TestStageTracing:
             _compile(qasm, device, store, schedule="asap")
             _compile(qasm, device, store, schedule="alap")
         names = [e["name"] for e in tracer.finished()]
-        assert names.count("cache.stage_miss") == 5
-        assert names.count("cache.stage_hit") == 3
-        hit_stages = {
+        assert names.count("cache.stage_miss") == 1
+        assert names.count("cache.stage_hit") == 1
+        probed = {
             e["args"]["stage"]
             for e in tracer.finished()
-            if e["name"] == "cache.stage_hit"
+            if e["name"] in ("cache.stage_hit", "cache.stage_miss")
         }
-        assert hit_stages == {"placement", "routing", "lower"}
+        assert probed == {"placement"}
 
 
 class TestServiceIntegration:
@@ -285,17 +256,8 @@ class TestServiceIntegration:
         for job in self._jobs(qasm, device):
             assert service.submit(job).ok
         svc = service.stats()["service"]
-        assert svc["stage_hits"] >= 1  # placement reused across routers
-        assert svc["stage_misses"] >= 2
-        service.close()
-
-    def test_stage_cache_flag_off_means_no_stage_activity(self, qasm, device):
-        service = CompileService(CompileCache(), stage_cache=False)
-        for job in self._jobs(qasm, device):
-            assert service.submit(job).ok
-        svc = service.stats()["service"]
-        assert svc["stage_hits"] == 0 and svc["stage_misses"] == 0
-        assert service.cache.stage_counters() == {}
+        assert svc["stage_hits"] == 1  # placement reused across routers
+        assert svc["stage_misses"] == 1
         service.close()
 
     def test_pool_workers_probe_disk_and_parent_merges_counters(
@@ -307,17 +269,19 @@ class TestServiceIntegration:
         try:
             cold = service.submit_batch(self._jobs(qasm, device))
             assert all(r.ok for r in cold)
-            assert list(tmp_path.glob("stages/*/*.json"))
+            assert list(tmp_path.glob("stages/placement/*.json"))
             # New schedule => every full-pipeline key misses, but the
-            # workers find placement/routing/lower on disk.
+            # workers find the placement on disk.  (The cold batch may
+            # hit it once too, when one worker stores it first.)
             warm = service.submit_batch(
                 self._jobs(qasm, device, schedule="alap")
             )
             assert all(r.ok and r.cache_hit is None for r in warm)
             svc = service.stats()["service"]
-            assert svc["stage_hits"] >= 3
+            assert svc["stage_hits"] >= 2
             stages = service.cache.stats()["stages"]
-            assert stages["schedule"].get("disk_hits", 0) == 0
+            assert set(stages) == {"placement"}
+            assert stages["placement"]["disk_hits"] >= 2
         finally:
             service.close()
 
