@@ -1,12 +1,19 @@
 """The two-tier content-addressed compile cache.
 
-Tier 1 is an in-memory LRU of artefact dicts; tier 2 an optional
-on-disk store with one JSON file per key (``<key>.json`` under the cache
-directory), written atomically (temp file + rename) so concurrent
-writers can never leave a torn entry.  Disk hits are promoted to
-memory.  Corrupt or unreadable disk entries count as misses and are
-deleted best-effort — the cache is always allowed to forget, never to
-return wrong bytes.
+Both tiers hold each entry as its JSON text, rendered once by whoever
+produced the entry (a pool worker ships exactly these bytes).  Tier 1
+is an in-memory LRU of those immutable strings, each paired with the
+artefact's headline metrics; tier 2 an optional on-disk store with one
+JSON file per key (``<key>.json`` under the cache directory), written
+atomically (temp file + rename) so concurrent writers can never leave a
+torn entry.  Disk hits are promoted to memory.  Corrupt or unreadable
+disk entries count as misses and are deleted best-effort — the cache is
+always allowed to forget, never to return wrong bytes.
+
+:meth:`CompileCache.lookup` decodes a fresh dict on every call, so no
+caller can alter what a later hit returns;
+:meth:`CompileCache.lookup_json` hands out the stored text and metrics
+without decoding the artefact at all (the engine's hit path).
 
 Keys come from :mod:`repro.service.keys`; because the key commits to
 circuit, device, pass config and library version, entries never need
@@ -27,13 +34,12 @@ interface of :func:`repro.core.pipeline.compile_circuit`.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import json
 import os
 from collections import Counter, OrderedDict
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from ..obs import trace_span
 from .keys import stage_key
@@ -43,6 +49,22 @@ __all__ = ["CompileCache", "CacheStageStore"]
 #: Per-process counter distinguishing concurrent same-key temp files —
 #: the PID alone collides when two threads of one process write one key.
 _TMP_COUNTER = itertools.count()
+
+
+class _Entry(NamedTuple):
+    """A memory-tier slot: the entry's JSON text plus the artefact's
+    headline metrics as ``(name, value)`` pairs.  Both are immutable,
+    so no hit can hand out state a caller could alter."""
+
+    text: str
+    metrics: tuple
+
+
+def _headline(obj) -> tuple:
+    """The ``metrics`` block of an artefact as ``(name, value)`` pairs
+    (empty for entries without one, e.g. stage entries)."""
+    metrics = obj.get("metrics") if isinstance(obj, Mapping) else None
+    return tuple(metrics.items()) if isinstance(metrics, Mapping) else ()
 
 
 class CompileCache:
@@ -63,18 +85,18 @@ class CompileCache:
     ) -> None:
         self.max_memory_entries = int(max_memory_entries)
         self.directory = Path(directory) if directory is not None else None
-        self._memory: OrderedDict[str, dict] = OrderedDict()
+        self._memory: OrderedDict[str, _Entry] = OrderedDict()
         self._counters: Counter = Counter()
         self._stage_counters: dict[str, Counter] = {}
 
     # ------------------------------------------------------------------
 
-    def _disk_path(self, key: str) -> Path:
-        assert self.directory is not None
-        return self.directory / f"{key}.json"
-
-    def _stage_path(self, stage: str, key: str) -> Path:
-        assert self.directory is not None
+    def _disk_path(self, key: str, stage: str | None = None) -> Path | None:
+        """Where an entry lives on disk (``None`` without a disk tier)."""
+        if self.directory is None:
+            return None
+        if stage is None:
+            return self.directory / f"{key}.json"
         return self.directory / "stages" / stage / f"{key}.json"
 
     @staticmethod
@@ -89,48 +111,107 @@ class CompileCache:
             counters = self._stage_counters[stage] = Counter()
         return counters
 
+    def _fetch(
+        self, mem_key: str, path: Path | None, counters: Counter
+    ) -> tuple[_Entry | None, str | None, object]:
+        """The one read path of both tiers: ``(entry, tier, decoded)``.
+
+        Memory first, then disk with promotion.  ``decoded`` is the
+        object a disk hit had to decode anyway to prove the file sound
+        (``None`` for memory hits and misses), so a caller that wants a
+        dict never decodes the same text twice.
+        """
+        entry = self._memory.get(mem_key)
+        if entry is not None:
+            self._memory.move_to_end(mem_key)
+            counters["memory_hits"] += 1
+            return entry, "memory", None
+        if path is not None:
+            loaded = self._read_disk(path, counters)
+            if loaded is not None:
+                text, decoded = loaded
+                counters["disk_hits"] += 1
+                entry = _Entry(text, _headline(decoded))
+                self._remember(mem_key, entry)
+                return entry, "disk", decoded
+        counters["misses"] += 1
+        return None, None, None
+
     def lookup(self, key: str) -> tuple[dict | None, str | None]:
         """``(artifact, tier)`` for ``key``; ``(None, None)`` on miss.
 
-        The tier (``"memory"`` or ``"disk"``) is returned *with* the
-        artefact so concurrent callers can never misattribute a hit.
-        (The stateful ``last_tier()`` accessor this replaced — a shared
-        slot any interleaved lookup could overwrite — was deprecated in
-        the tracing release and has been removed.)
+        The artefact is decoded afresh from the stored text on every
+        call, so a caller that mutates it cannot change what any later
+        hit returns.  The tier (``"memory"`` or ``"disk"``) is returned
+        *with* the artefact so concurrent callers can never misattribute
+        a hit.  (The stateful ``last_tier()`` accessor this replaced — a
+        shared slot any interleaved lookup could overwrite — was
+        deprecated in the tracing release and has been removed.)
         """
-        entry = self._memory.get(key)
-        if entry is not None:
-            self._memory.move_to_end(key)
-            self._counters["memory_hits"] += 1
-            return entry, "memory"
-        if self.directory is not None:
-            entry = self._read_disk(self._disk_path(key), self._counters)
-            if entry is not None:
-                self._counters["disk_hits"] += 1
-                self._remember(key, entry)
-                return entry, "disk"
-        self._counters["misses"] += 1
-        return None, None
+        entry, tier, decoded = self._fetch(
+            key, self._disk_path(key), self._counters
+        )
+        if entry is None:
+            return None, None
+        return (json.loads(entry.text) if decoded is None else decoded), tier
+
+    def lookup_json(
+        self, key: str
+    ) -> tuple[str | None, dict | None, str | None]:
+        """``(text, metrics, tier)`` for ``key``; all ``None`` on miss.
+
+        The stored JSON text itself and a fresh dict of the artefact's
+        headline ``metrics``, without decoding the artefact — the
+        engine's hit path.  Same tier walk and counters as
+        :meth:`lookup`.
+        """
+        entry, tier, _ = self._fetch(
+            key, self._disk_path(key), self._counters
+        )
+        if entry is None:
+            return None, None, None
+        return entry.text, dict(entry.metrics), tier
 
     def get(self, key: str) -> dict | None:
         """The cached artefact for ``key``, or ``None`` on miss."""
         return self.lookup(key)[0]
 
-    def put(self, key: str, artifact: dict) -> None:
-        """Store ``artifact`` under ``key`` in every enabled tier."""
+    def put(self, key: str, artifact: dict, text: str | None = None) -> None:
+        """Store ``artifact`` under ``key`` in every enabled tier.
+
+        Args:
+            text: ``json.dumps(artifact)`` when the caller already has
+                it (the engine passes the text a worker rendered), so
+                the artefact is never serialised twice; rendered here
+                otherwise.
+        """
         self._counters["puts"] += 1
-        self._remember(key, artifact)
-        if self.directory is not None:
-            self._write_disk(self._disk_path(key), artifact, self._counters)
+        self._store(key, self._disk_path(key), artifact, text, self._counters)
+
+    def _store(
+        self,
+        mem_key: str,
+        path: Path | None,
+        obj,
+        text: str | None,
+        counters: Counter,
+    ) -> None:
+        if text is None:
+            text = json.dumps(obj)
+        self._remember(mem_key, _Entry(text, _headline(obj)))
+        if path is not None:
+            self._write_disk(path, text, counters)
 
     @staticmethod
-    def _read_disk(path: Path, counters: Counter) -> dict | None:
-        """The entry stored at ``path``, or ``None`` when it is absent or
-        unreadable.  An unreadable (e.g. corrupt) file is counted in
-        ``counters["disk_errors"]`` and deleted best-effort."""
+    def _read_disk(path: Path, counters: Counter) -> tuple[str, object] | None:
+        """``(text, decoded)`` of the entry stored at ``path``, or
+        ``None`` when it is absent or unreadable.  The text is decoded
+        to prove it sound; an unreadable (e.g. corrupt) file is counted
+        in ``counters["disk_errors"]`` and deleted best-effort."""
         try:
             with open(path) as fh:
-                return json.load(fh)
+                text = fh.read()
+            return text, json.loads(text)
         except FileNotFoundError:
             return None
         except (OSError, ValueError):
@@ -141,20 +222,19 @@ class CompileCache:
                 pass
             return None
 
-    def _write_disk(self, path: Path, entry: dict, counters: Counter) -> None:
-        """Atomic best-effort write; any disk failure — including the
-        ``mkdir`` of the cache directory itself — is counted in
-        ``counters["disk_errors"]``, never raised.  Keys keep their
-        build order, so a disk hit serialises to the same bytes as the
-        memory hit of the same entry."""
+    def _write_disk(self, path: Path, text: str, counters: Counter) -> None:
+        """Atomic best-effort write of ``text``; any disk failure —
+        including the ``mkdir`` of the cache directory itself — is
+        counted in ``counters["disk_errors"]``, never raised.  The text
+        is the one the memory tier holds, so a disk hit serialises to
+        the same bytes as the memory hit of the same entry."""
         tmp = path.with_suffix(
             f".{os.getpid()}-{next(_TMP_COUNTER)}.tmp"
         )
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            data = json.dumps(entry)
             with open(tmp, "w") as fh:
-                fh.write(data)
+                fh.write(text)
             os.replace(tmp, path)
         except OSError:
             counters["disk_errors"] += 1
@@ -163,13 +243,10 @@ class CompileCache:
             except OSError:
                 pass
 
-    def _remember(self, key: str, artifact: dict) -> None:
+    def _remember(self, key: str, entry: _Entry) -> None:
         if self.max_memory_entries <= 0:
             return
-        # Deep-copied so a caller mutating its dict after (or an engine
-        # annotating a returned artefact) cannot desynchronise the
-        # memory tier from the bytes on disk.
-        self._memory[key] = copy.deepcopy(artifact)
+        self._memory[key] = entry
         self._memory.move_to_end(key)
         while len(self._memory) > self.max_memory_entries:
             evicted, _ = self._memory.popitem(last=False)
@@ -183,34 +260,29 @@ class CompileCache:
     def lookup_stage(self, stage: str, key: str) -> dict | None:
         """The stage entry for ``(stage, key)``, or ``None`` on miss.
 
-        Same tier walk as :meth:`lookup` (memory, then disk with
-        promotion; corrupt disk entries deleted and counted), but hits,
-        misses and disk errors land in the per-stage counters surfaced
-        by :meth:`stats` under ``"stages"``.
+        Same read path as :meth:`lookup` (memory, then disk with
+        promotion; corrupt disk entries deleted and counted; a fresh
+        dict per call), but hits, misses and disk errors land in the
+        per-stage counters surfaced by :meth:`stats` under
+        ``"stages"``.
         """
-        counters = self._stage(stage)
-        mem_key = self._stage_mem_key(stage, key)
-        entry = self._memory.get(mem_key)
-        if entry is not None:
-            self._memory.move_to_end(mem_key)
-            counters["memory_hits"] += 1
-            return entry
-        if self.directory is not None:
-            entry = self._read_disk(self._stage_path(stage, key), counters)
-            if entry is not None:
-                counters["disk_hits"] += 1
-                self._remember(mem_key, entry)
-                return entry
-        counters["misses"] += 1
-        return None
+        entry, _, decoded = self._fetch(
+            self._stage_mem_key(stage, key),
+            self._disk_path(key, stage),
+            self._stage(stage),
+        )
+        if entry is None:
+            return None
+        return json.loads(entry.text) if decoded is None else decoded
 
     def put_stage(self, stage: str, key: str, entry: dict) -> None:
         """Store a stage entry in every enabled tier."""
         counters = self._stage(stage)
         counters["puts"] += 1
-        self._remember(self._stage_mem_key(stage, key), entry)
-        if self.directory is not None:
-            self._write_disk(self._stage_path(stage, key), entry, counters)
+        self._store(
+            self._stage_mem_key(stage, key), self._disk_path(key, stage),
+            entry, None, counters,
+        )
 
     def stage_counters(self) -> dict:
         """Plain-dict snapshot of the per-stage counters (stages with
@@ -243,10 +315,9 @@ class CompileCache:
         """
         if key in self._memory:
             return True
-        if self.directory is None:
-            return False
-        entry = self._read_disk(self._disk_path(key), self._counters)
-        return entry is not None
+        path = self._disk_path(key)
+        return path is not None and \
+            self._read_disk(path, self._counters) is not None
 
     def __len__(self) -> int:
         """Number of entries in the memory tier (disk not enumerated)."""

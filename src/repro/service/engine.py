@@ -18,7 +18,12 @@ into a servable engine:
 Workers receive plain-dict payloads (:meth:`CompileJob.payload`) and
 return plain-dict outcomes, so nothing un-picklable ever crosses the
 process boundary; the parent owns the cache, so a batch warms it for
-every later request regardless of which worker compiled what.
+every later request regardless of which worker compiled what.  The
+artefact is rendered to JSON text exactly once, in the process that
+compiled it; that string crosses the process boundary, fills both cache
+tiers and the HTTP body unchanged, and is decoded only where a dict is
+needed (validation of a worker's answer, or a caller reading
+:attr:`JobResult.artifact`).
 
 Parallel batches run on a **persistent warm worker pool**
 (:class:`repro.service.pool.WarmPool`): workers are forked once per
@@ -42,14 +47,16 @@ retried down the router fallback chain
 pool reports which job the dead worker was actually running, so only
 that job is blamed (and degraded on retry) while chunk-mates that never
 started are re-queued with their original router at no attempt cost.
-Worker-shipped artefacts are validated
+Worker-shipped artefacts are decoded once and validated
 (:func:`repro.service.artifact.validate_artifact`) before they can reach
-the cache.  Only clean ``ok`` artefacts are ever cached — a degraded
-compile must not impersonate the requested configuration.
+the cache; text that is not JSON counts as a corrupt artefact.  Only
+clean ``ok`` artefacts are ever cached — a degraded compile must not
+impersonate the requested configuration.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
@@ -89,6 +96,7 @@ def run_payload(
     dispatch_mono: float | None = None,
     trace: bool = False,
     stage_store: CacheStageStore | None = None,
+    keep_artifact: bool = False,
 ) -> dict:
     """Compile one job payload; always returns, never raises.
 
@@ -119,7 +127,10 @@ def run_payload(
       the stage cache.
 
     The outcome's ``status`` is one of ``ok | degraded | timeout |
-    crashed | invalid`` — the same taxonomy the parent reports.
+    crashed | invalid`` — the same taxonomy the parent reports.  A
+    completed compile's ``artifact`` is the artefact's JSON text
+    (``json.dumps``, default separators, build order): the one
+    rendering the parent caches and serves.
 
     Args:
         payload: A :meth:`CompileJob.payload` dict, possibly augmented.
@@ -131,6 +142,9 @@ def run_payload(
         trace: Record pass-level spans for this compile and ship them
             back in the outcome's ``spans`` list for the parent tracer
             to absorb.
+        keep_artifact: Also return the artefact dict under
+            ``artifact_obj`` (in-process callers, which then need not
+            decode the text; a pool worker ships the text alone).
     """
     started_mono = time.monotonic()
     hook = payload.get("metadata", {}).get("__test_hook__", "")
@@ -219,9 +233,11 @@ def run_payload(
         )
         outcome = {
             "status": "degraded" if degraded else "ok",
-            "artifact": artifact,
+            "artifact": json.dumps(artifact),
             "compile_seconds": time.perf_counter() - t0,
         }
+        if keep_artifact:
+            outcome["artifact_obj"] = artifact
     except DeadlineExceeded as exc:
         outcome = {
             "status": "timeout",
@@ -411,6 +427,7 @@ class CompileService:
             dispatch_mono=dispatch_mono,
             trace=current_tracer().enabled,
             stage_store=self._stage_store(plan),
+            keep_artifact=True,
         )
         return self._finish(job, key, outcome, dispatch_mono, attempts=1)
 
@@ -565,7 +582,7 @@ class CompileService:
                     emit(i, "started")
                     outcome = run_payload(
                         payload, dispatch_mono=dispatch_mono, trace=trace,
-                        stage_store=inline_store,
+                        stage_store=inline_store, keep_artifact=True,
                     )
                     results[i] = self._finish(
                         jobs[i], keys[i], outcome, dispatch_mono, attempts=1
@@ -585,7 +602,7 @@ class CompileService:
                 key=keys[i],
                 status=base.status,
                 cache_hit="batch" if base.ok else base.cache_hit,
-                artifact=base.artifact,
+                artifact_json=base.artifact_json,
                 error=base.error,
                 attempts=base.attempts,
                 metrics={**base.metrics, "queue_wait_s": 0.0, "compile_s": 0.0},
@@ -882,9 +899,21 @@ class CompileService:
 
     @staticmethod
     def _artifact_problem(outcome: dict) -> str | None:
+        """Why a completed outcome's artefact is unusable, or ``None``.
+
+        A pool worker ships JSON text: it is decoded here exactly once,
+        into ``outcome["artifact_obj"]``, so :meth:`_finish` never
+        decodes it again.  Text that is not JSON is a corrupt
+        artefact, like one that fails :func:`validate_artifact`.
+        """
         if outcome.get("status") not in ("ok", "degraded"):
             return None
-        return validate_artifact(outcome.get("artifact"))
+        if "artifact_obj" not in outcome:
+            try:
+                outcome["artifact_obj"] = json.loads(outcome.get("artifact"))
+            except (TypeError, ValueError) as exc:
+                return f"artifact is not JSON text: {exc}"
+        return validate_artifact(outcome["artifact_obj"])
 
     def _augment(
         self,
@@ -961,10 +990,10 @@ class CompileService:
             return None
         t0 = time.perf_counter()
         with trace_span("cache.lookup", pass_="cache", job_id=job.job_id) as sp:
-            artifact, tier = self.cache.lookup(key)
+            text, headline, tier = self.cache.lookup_json(key)
             if sp.enabled:
                 sp.set(tier=tier or "miss")
-        if artifact is None:
+        if text is None:
             return None
         self._counters["cache_hits"] += 1
         metrics = {
@@ -972,13 +1001,13 @@ class CompileService:
             "compile_s": 0.0,
             "total_s": round(time.perf_counter() - t0, 6),
         }
-        metrics.update(artifact_metrics(artifact))
+        metrics.update(headline)
         return JobResult(
             job_id=job.job_id,
             key=key,
             status="ok",
             cache_hit=tier,
-            artifact=artifact,
+            artifact_json=text,
             metrics=metrics,
             metadata=job.metadata,
         )
@@ -1024,8 +1053,7 @@ class CompileService:
                 },
                 metadata=job.metadata,
             )
-        artifact = outcome["artifact"]
-        problem = validate_artifact(artifact)
+        problem = self._artifact_problem(outcome)
         if problem is not None:
             # In-process path (the pool path screens before _finish):
             # a corrupt artefact must never reach the cache or caller.
@@ -1043,9 +1071,10 @@ class CompileService:
                 },
                 metadata=job.metadata,
             )
+        artifact, text = outcome["artifact_obj"], outcome["artifact"]
         if status == "ok":
             if self.cache is not None:
-                self.cache.put(key, artifact)
+                self.cache.put(key, artifact, text)
         else:
             # Degraded artefacts answer under a *different* configuration
             # than the key commits to — caching one would serve fallback
@@ -1064,10 +1093,10 @@ class CompileService:
             job_id=job.job_id,
             key=key,
             status=status,
-            artifact=artifact,
             attempts=attempts,
             metrics=metrics,
             metadata=job.metadata,
+            artifact_json=text,
         )
 
     # ------------------------------------------------------------------

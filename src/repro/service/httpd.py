@@ -21,9 +21,12 @@ GET      ``/stats``               Gateway + service + cache + pool counters.
 =======  =======================  ==========================================
 
 Job ids may contain ``/`` (the perf corpus does); clients URL-encode
-them and the server unquotes.  Every response body is JSON.  The server
-is a ``ThreadingHTTPServer``: handler threads only ever call the
-thread-safe gateway API, never the compile service directly.
+them and the server unquotes.  Every response body is JSON; a result
+body with the artefact inlined carries the artefact's JSON text
+spliced in as the engine rendered it (:meth:`JobResult.to_json`),
+never re-encoded.  The server is a ``ThreadingHTTPServer``: handler
+threads only ever call the thread-safe gateway API, never the compile
+service directly.
 
 ``repro serve`` (see :mod:`repro.cli`) builds the service/gateway pair,
 binds this server (``--port 0`` picks an ephemeral port), and prints
@@ -74,7 +77,11 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
 
     def _send(self, code: int, payload: dict,
               headers: dict | None = None) -> None:
-        body = json.dumps(payload).encode()
+        self._send_text(code, json.dumps(payload), headers)
+
+    def _send_text(self, code: int, text: str,
+                   headers: dict | None = None) -> None:
+        body = text.encode()
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -165,8 +172,8 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
                      "priority": handle.priority},
                 )
                 return
-            self._send(
-                200, result.to_dict(include_artifact=opts["artifact"])
+            self._send_text(
+                200, result.to_json(include_artifact=opts["artifact"])
             )
             return
         self._send(
@@ -216,8 +223,8 @@ class GatewayRequestHandler(BaseHTTPRequestHandler):
             )
             return
         include = params.get("artifact", ["0"])[-1] not in ("0", "", "false")
-        self._send(
-            200, handle.wait(0).to_dict(include_artifact=include)
+        self._send_text(
+            200, handle.wait(0).to_json(include_artifact=include)
         )
 
 

@@ -4,13 +4,15 @@ A job is a fully self-contained compile request — canonical QASM text,
 device description dict, and a :class:`~repro.core.pipeline.PassConfig`
 — so it can be hashed for the cache, pickled to a worker process, or
 written into a batch manifest without losing information.  A result
-carries the artefact (see :mod:`repro.service.artifact`), a status, and
-per-job metrics: queue wait, compile wall-clock, cache tier, and the
-gate/depth deltas of the compilation.
+carries the artefact (see :mod:`repro.service.artifact`) as the JSON
+text it was rendered to once, a status, and per-job metrics: queue
+wait, compile wall-clock, cache tier, and the gate/depth deltas of the
+compilation.
 """
 
 from __future__ import annotations
 
+import json
 import uuid
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -131,7 +133,7 @@ class CompileJob:
         )
 
 
-@dataclass
+@dataclass(init=False)
 class JobResult:
     """Outcome of one job, successful or not.
 
@@ -156,24 +158,66 @@ class JobResult:
         cache_hit: ``"memory"``, ``"disk"``, ``"batch"`` (deduplicated
             against an identical job earlier in the same batch), or
             ``None`` for a fresh compile.
-        artifact: The serialised compilation result (``None`` unless the
-            job completed: ``status`` in ``("ok", "degraded")``).
+        artifact_json: The serialised compilation result as JSON text
+            (``None`` unless the job completed: ``status`` in ``("ok",
+            "degraded")``).  The engine fills it with the very string
+            the compiling process rendered, which the cache also holds.
         error: One-line failure description for failed results.
         attempts: Number of compile attempts (>1 after crash retries).
         metrics: Per-job numbers: ``queue_wait_s``, ``compile_s``,
             ``total_s``, and the artefact's gate/depth metrics.
         metadata: The job's metadata, passed through.
+
+    The artefact dict (:attr:`artifact`) is decoded from
+    ``artifact_json`` on first access and kept, so results nobody reads
+    never hold a decoded copy.  Passing ``artifact`` (a dict) to the
+    constructor still works: the text is then rendered from it.
     """
 
     job_id: str
     key: str
     status: str
-    cache_hit: str | None = None
-    artifact: dict | None = None
-    error: str | None = None
-    attempts: int = 1
-    metrics: dict = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
+    cache_hit: str | None
+    artifact_json: str | None = field(repr=False)
+    error: str | None
+    attempts: int
+    metrics: dict
+    metadata: dict
+
+    def __init__(
+        self,
+        job_id: str,
+        key: str,
+        status: str,
+        cache_hit: str | None = None,
+        artifact: dict | None = None,
+        error: str | None = None,
+        attempts: int = 1,
+        metrics: dict | None = None,
+        metadata: dict | None = None,
+        *,
+        artifact_json: str | None = None,
+    ) -> None:
+        self.job_id = job_id
+        self.key = key
+        self.status = status
+        self.cache_hit = cache_hit
+        if artifact_json is None and artifact is not None:
+            artifact_json = json.dumps(artifact)
+        self.artifact_json = artifact_json
+        self._artifact = artifact
+        self.error = error
+        self.attempts = attempts
+        self.metrics = {} if metrics is None else metrics
+        self.metadata = {} if metadata is None else metadata
+
+    @property
+    def artifact(self) -> dict | None:
+        """The artefact dict, decoded from :attr:`artifact_json` on
+        first access (``None`` when the job produced no artefact)."""
+        if self._artifact is None and self.artifact_json is not None:
+            self._artifact = json.loads(self.artifact_json)
+        return self._artifact
 
     @property
     def ok(self) -> bool:
@@ -214,3 +258,14 @@ class JobResult:
         if include_artifact:
             row["artifact"] = self.artifact
         return row
+
+    def to_json(self, *, include_artifact: bool = False) -> str:
+        """``json.dumps(self.to_dict(include_artifact=...))``, byte for
+        byte, with :attr:`artifact_json` spliced in as is — the
+        artefact is never decoded or re-encoded."""
+        body = json.dumps(self.to_dict())
+        if not include_artifact:
+            return body
+        text = "null" if self.artifact_json is None else self.artifact_json
+        # to_dict() puts "artifact" last, and its row is never empty.
+        return f'{body[:-1]}, "artifact": {text}}}'

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
+from collections import OrderedDict
 
 from .. import __version__
 from ..core.circuit import Circuit
@@ -48,6 +50,13 @@ ARTIFACT_SCHEMA = 1
 #: (independent of the full-artefact schema: the two evolve separately).
 STAGE_SCHEMA = 1
 
+#: Text -> canonical QASM for recently canonicalised texts.  A job's
+#: text is canonicalised when the job is built and again each time it
+#: is keyed; the memo makes every parse after the first a lookup.
+_CANONICAL_MEMO: OrderedDict[str, str] = OrderedDict()
+_CANONICAL_MEMO_SIZE = 256
+_CANONICAL_MEMO_LOCK = threading.Lock()
+
 
 def canonical_json(obj) -> str:
     """Minified, sorted-key JSON — byte-stable across dict orderings."""
@@ -61,11 +70,28 @@ def canonical_qasm(source: str | Circuit) -> str:
     is ``to_openqasm`` applied to the parsed circuit, so formatting
     differences in the input never produce distinct cache keys.
 
+    Text inputs go through a bounded memo that maps both the raw text
+    and its canonical form (the normal form is a fixed point) to the
+    canonical text; unparsable text is never memoised.
+
     Raises:
         repro.qasm.QasmError: when ``source`` is text and unparsable.
     """
-    circuit = parse_qasm(source) if isinstance(source, str) else source
-    return to_openqasm(circuit)
+    if not isinstance(source, str):
+        return to_openqasm(source)
+    with _CANONICAL_MEMO_LOCK:
+        canonical = _CANONICAL_MEMO.get(source)
+        if canonical is not None:
+            _CANONICAL_MEMO.move_to_end(source)
+            return canonical
+    canonical = to_openqasm(parse_qasm(source))
+    with _CANONICAL_MEMO_LOCK:
+        for text in (source, canonical):
+            _CANONICAL_MEMO[text] = canonical
+            _CANONICAL_MEMO.move_to_end(text)
+        while len(_CANONICAL_MEMO) > _CANONICAL_MEMO_SIZE:
+            _CANONICAL_MEMO.popitem(last=False)
+    return canonical
 
 
 def device_fingerprint(device: Device | dict) -> str:

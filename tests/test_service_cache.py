@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.pipeline import PassConfig, compile_with_config
 from repro.devices import get_device
-from repro.qasm import parse_qasm, to_openqasm
+from repro.qasm import QasmError, parse_qasm, to_openqasm
 from repro.service import (
     CompileCache,
     CompileJob,
@@ -16,6 +16,7 @@ from repro.service import (
     device_fingerprint,
     result_to_artifact,
 )
+from repro.service import keys
 from repro.service.keys import canonical_json, canonical_qasm
 from repro.workloads import random_circuit
 
@@ -84,6 +85,87 @@ class TestKeys:
         linear = get_device("linear", num_qubits=9)
         ring = get_device("ring", num_qubits=9)
         assert device_fingerprint(linear) != device_fingerprint(ring)
+
+
+class TestCanonicalQasmMemo:
+    @staticmethod
+    def _counting_parse(monkeypatch):
+        calls = []
+        real = keys.parse_qasm
+
+        def parse(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(keys, "parse_qasm", parse)
+        return calls
+
+    def test_keying_same_text_twice_parses_once(self, device, monkeypatch):
+        calls = self._counting_parse(monkeypatch)
+        # A comment no other test uses keeps the memo cold for this text.
+        raw = QASM + "// memo-test-once\n"
+        first = compute_key(raw, device)
+        assert compute_key(raw, device) == first
+        assert len(calls) == 1
+
+    def test_canonical_form_is_memoised_too(self, device, monkeypatch):
+        calls = self._counting_parse(monkeypatch)
+        job = CompileJob.create(QASM + "// memo-test-job\n", device)
+        assert len(calls) == 1
+        # create() canonicalised the raw text; keying the job's
+        # canonical text needs no second parse.
+        assert job.key() == compute_key(job.qasm, device)
+        assert len(calls) == 1
+        assert canonical_qasm(job.qasm) == job.qasm
+
+    def test_parse_errors_are_never_memoised(self, monkeypatch):
+        calls = self._counting_parse(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(QasmError):
+                canonical_qasm("not qasm either")
+        assert len(calls) == 2
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(keys, "_CANONICAL_MEMO_SIZE", 4)
+        for i in range(6):
+            canonical_qasm(QASM + f"// memo-test-bound {i}\n")
+        assert len(keys._CANONICAL_MEMO) <= 4
+
+    def test_memo_under_concurrent_threads(self, monkeypatch):
+        # Gateway handler threads build jobs while the dispatcher keys
+        # them: hammer a tiny memo from more threads than cores, with a
+        # short switch interval, and check every answer and the bound.
+        import sys
+        import threading
+
+        monkeypatch.setattr(keys, "_CANONICAL_MEMO_SIZE", 8)
+        texts = [QASM + f"// memo-test-threads {i}\n" for i in range(24)]
+        expected = to_openqasm(parse_qasm(QASM))
+        errors = []
+
+        def worker(offset):
+            try:
+                for i in range(200):
+                    text = texts[(offset + i) % len(texts)]
+                    if canonical_qasm(text) != expected:
+                        errors.append(text)
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,))
+                       for n in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(keys._CANONICAL_MEMO) <= 8
 
 
 class TestArtifactRoundTrip:
@@ -278,6 +360,44 @@ class TestCompileCacheTiers:
             "metrics": {"added_swaps": 3}, "metadata": {},
         }
 
+
+    def test_memory_hit_mutation_does_not_poison_later_hits(self, tmp_path):
+        # Regression: a memory hit used to hand out the cache's own
+        # dict, so a caller mutating one hit changed every later memory
+        # hit while the disk tier kept the original.
+        cache = CompileCache(directory=tmp_path)
+        cache.put("k", {"metrics": {"native_gates": 10}})
+        hit, tier = cache.lookup("k")
+        assert tier == "memory"
+        hit["metrics"]["native_gates"] = 999
+        assert cache.lookup("k")[0] == {"metrics": {"native_gates": 10}}
+        assert cache.get("k") == {"metrics": {"native_gates": 10}}
+        fresh = CompileCache(directory=tmp_path)
+        assert fresh.get("k") == {"metrics": {"native_gates": 10}}
+
+    def test_lookup_json_serves_stored_text_and_metrics(self, tmp_path):
+        artifact = {"schema": 1, "metrics": {"native_gates": 7}, "x": [1, 2]}
+        text = json.dumps(artifact)
+        cache = CompileCache(directory=tmp_path)
+        cache.put("k", artifact, text)
+        got, metrics, tier = cache.lookup_json("k")
+        assert got is text and tier == "memory"
+        assert metrics == {"native_gates": 7}
+        metrics["native_gates"] = 0  # a fresh dict per call
+        assert cache.lookup_json("k")[1] == {"native_gates": 7}
+        assert (tmp_path / "k.json").read_text() == text
+        fresh = CompileCache(directory=tmp_path)
+        assert fresh.lookup_json("k") == (text, {"native_gates": 7}, "disk")
+        assert fresh.lookup_json("absent") == (None, None, None)
+        assert fresh.stats()["disk_hits"] == 1
+        assert fresh.stats()["misses"] == 1
+
+    def test_stage_hits_are_fresh_dicts(self, tmp_path):
+        cache = CompileCache(directory=tmp_path)
+        cache.put_stage("placement", "k", {"initial": [0, 1]})
+        hit = cache.lookup_stage("placement", "k")
+        hit["initial"].append(2)
+        assert cache.lookup_stage("placement", "k") == {"initial": [0, 1]}
 
     def test_disk_hit_keeps_key_order_of_memory_hit(self, tmp_path):
         # Regression: the disk tier was written with sort_keys=True, so

@@ -1,5 +1,6 @@
 """Tests for the batch compile engine (repro.service.engine)."""
 
+import json
 import time
 
 import pytest
@@ -8,8 +9,9 @@ from repro.core.pipeline import PassConfig
 from repro.devices import get_device
 from repro.obs import Tracer, use_tracer
 from repro.qasm import to_openqasm
-from repro.service import CompileCache, CompileJob, CompileService
+from repro.service import CompileCache, CompileJob, CompileService, engine
 from repro.service.engine import run_payload
+from repro.service.keys import canonical_json
 from repro.workloads import random_circuit
 
 
@@ -373,3 +375,86 @@ class TestBatchEvents:
         results = service.submit_batch([_job(seed=32)], on_event=bomb)
         assert results[0].ok
         service.close()
+
+
+class TestSerialiseOnce:
+    """Each artefact is rendered to JSON text once, by the process that
+    compiled it, and that text is what every path hands out."""
+
+    def test_byte_identity_matrix(self, tmp_path):
+        job = _job(seed=41, job_id="a")
+        inline = CompileService(CompileCache(directory=tmp_path))
+        fresh_inline = inline.submit(job)
+        memory = inline.submit(job)
+        disk = CompileService(CompileCache(directory=tmp_path)).submit(job)
+
+        twin = CompileJob.create(job.qasm, job.device, job.config,
+                                 job_id="twin")
+        pooled = CompileService(CompileCache(), max_workers=2)
+        try:
+            fresh_pool, duplicate, _ = pooled.submit_batch(
+                [job, twin, _job(seed=42, job_id="other")]
+            )
+        finally:
+            pooled.close()
+
+        results = [fresh_inline, fresh_pool, memory, disk, duplicate]
+        assert [r.cache_hit for r in results] == \
+            [None, None, "memory", "disk", "batch"]
+        assert all(r.ok for r in results)
+        # The very same text everywhere: the build-order rendering.
+        texts = {r.artifact_json for r in results}
+        assert len(texts) == 1
+        [text] = texts
+        assert json.dumps(json.loads(text)) == text
+        assert len({canonical_json(r.artifact) for r in results}) == 1
+        for r in results:
+            # The spliced body is byte-identical to a full re-encode.
+            assert r.to_json(include_artifact=True) == \
+                json.dumps(r.to_dict(include_artifact=True))
+            assert r.to_json() == json.dumps(r.to_dict())
+
+    def test_fresh_artifact_is_dumped_once(self, tmp_path, monkeypatch):
+        rendered = []
+        real = json.dumps
+
+        def dumps(obj, *args, **kwargs):
+            if isinstance(obj, dict) and "native_qasm" in obj:
+                rendered.append(obj)
+            return real(obj, *args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", dumps)
+        service = CompileService(CompileCache(directory=tmp_path))
+        res = service.submit(_job(seed=45))
+        assert res.ok and res.cache_hit is None
+        res.to_json(include_artifact=True)
+        assert len(rendered) == 1
+
+    def test_pool_worker_shipping_non_json_text_is_corrupt(self, monkeypatch):
+        real = engine.run_payload
+
+        def garble(payload, **kwargs):
+            outcome = real(payload, **kwargs)
+            if payload["job_id"] == "bad" and "artifact" in outcome:
+                text = outcome["artifact"]
+                outcome["artifact"] = text[: len(text) // 2]
+            return outcome
+
+        # Pool workers fork from this process and look run_payload up
+        # on the engine module, so they run the garbling wrapper.
+        monkeypatch.setattr(engine, "run_payload", garble)
+        cache = CompileCache()
+        service = CompileService(cache, max_workers=2, retries=1)
+        jobs = [_job(seed=43, job_id="bad"), _job(seed=44, job_id="good")]
+        try:
+            bad, good = service.submit_batch(jobs)
+        finally:
+            service.close()
+        assert bad.status == "crashed"
+        assert "corrupt artifact" in bad.error
+        assert "not JSON" in bad.error
+        assert bad.artifact_json is None and bad.artifact is None
+        assert good.ok
+        assert cache.lookup(jobs[0].key())[0] is None
+        assert cache.lookup(jobs[1].key())[0] is not None
+        assert service.stats()["service"]["corrupt_artifacts"] == 2

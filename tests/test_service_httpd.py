@@ -109,6 +109,37 @@ class TestSubmit:
         assert code == 200
         assert body["artifact"]["routing"]["added_swaps"] >= 0
 
+    def test_artifact_body_is_byte_identical_to_full_encode(self, stack):
+        # The artefact text is spliced into the body as rendered, never
+        # re-encoded; the bytes must match a plain json.dumps of the
+        # result row, fresh or served from the cache.
+        _, gateway, server, _ = stack
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=60)
+
+        def raw(method, path, body=None):
+            data = json.dumps(body) if body is not None else None
+            conn.request(method, path, body=data)
+            resp = conn.getresponse()
+            return resp.status, resp.read()
+
+        try:
+            for job_id in ("splice-fresh", "splice-hit"):
+                code, body = raw("POST", "/jobs", {
+                    "qasm": _qasm(11), "device": "ibm_qx4",
+                    "job_id": job_id, "wait": True, "artifact": True,
+                })
+                result = gateway.get(job_id).wait(0)
+                expected = json.dumps(
+                    result.to_dict(include_artifact=True)
+                ).encode()
+                assert code == 200 and body == expected
+                code, polled = raw("GET", f"/jobs/{job_id}/result?artifact=1")
+                assert code == 200 and polled == expected
+            assert result.cache_hit == "memory"
+        finally:
+            conn.close()
+
     def test_job_id_with_slash_roundtrips(self, stack):
         _, _, _, client = stack
         job_id = "corpus/ibm_qx4/5q_s4"
